@@ -14,11 +14,11 @@
  *  - free burst: free the oldest half FIFO, which maximises §5.2 run
  *    aggregation; sweeps that trigger are timed and subtracted
  *    (-> pure quarantine add rate);
- *  - churn: random-victim malloc/free pairs across several sweep
- *    epochs, including sweep time (-> sustained mutator ops/s, the
- *    figure that exercises takeFromBins against populated bins);
- *  - tenant: the bench/tenant_scale mutator loop (8 tenants, the
- *    aggregate-allocation target) timed wall-clock
+ *  - churn: LIVE/2 random-victim malloc/free pairs across several
+ *    sweep epochs, including sweep time (-> sustained mutator ops/s,
+ *    the figure that exercises takeFromBins against populated bins);
+ *  - tenant: the bench/tenant_scale mutator loop (kTenants = 8
+ *    tenants, the aggregate-allocation target) timed wall-clock
  *    (-> trace ops/s through the full sim + tenant stack).
  *
  * Correctness gates (any failure exits non-zero): validateHeap()
@@ -32,12 +32,9 @@
  * Environment (strict parsing):
  *   CHERIVOKE_ALLOC_LIVE        = live-allocation target (default
  *                                 1000000, the tenant_scale scale)
- *   CHERIVOKE_ALLOC_CHURN       = churn-phase op pairs (default
- *                                 LIVE/2)
  *   CHERIVOKE_TENANT_AGG_ALLOCS = tenant-phase aggregate target
  *                                 (default 1000000; 0 skips the
  *                                 tenant phase)
- *   CHERIVOKE_TENANT_MAX        = tenant count (default 8)
  */
 
 #include <chrono>
@@ -66,6 +63,8 @@ now()
 /** The tenant_scale slice profile (see bench/tenant_scale.cc). */
 constexpr double kMeanAllocBytes = 128.0;
 constexpr double kAggFreeRateMiBps = 64.0;
+/** Tenant count of the tenant phase (tenant_scale's largest row). */
+constexpr unsigned kTenants = 8;
 
 workload::BenchmarkProfile
 sliceProfile(unsigned tenants, uint64_t agg_allocs)
@@ -106,13 +105,9 @@ main()
 {
     const uint64_t live_target = static_cast<uint64_t>(
         envI64("CHERIVOKE_ALLOC_LIVE", 1000000));
-    const uint64_t churn_pairs = static_cast<uint64_t>(
-        envI64("CHERIVOKE_ALLOC_CHURN",
-               static_cast<int64_t>(live_target / 2)));
+    const uint64_t churn_pairs = live_target / 2;
     const uint64_t agg_allocs = static_cast<uint64_t>(
         envI64("CHERIVOKE_TENANT_AGG_ALLOCS", 1000000));
-    const unsigned tenants = static_cast<unsigned>(
-        envI64("CHERIVOKE_TENANT_MAX", 8));
 
     bench::printSystems(
         "Mutator allocator/quarantine hot-path throughput "
@@ -186,11 +181,9 @@ main()
     uint64_t tenant_ops = 0;
     if (agg_allocs > 0) {
         const workload::BenchmarkProfile profile =
-            sliceProfile(tenants, agg_allocs);
+            sliceProfile(kTenants, agg_allocs);
         sim::ExperimentConfig cfg = bench::defaultConfig();
-        cfg.tenants = tenants;
-        cfg.tenantWeights.clear();
-        cfg.tenantHeapMiB = 0;
+        cfg.tenants = kTenants;
         cfg.scale = 1.0;
         cfg.durationSec = 2.0;
         const std::vector<workload::Trace> traces =
@@ -266,7 +259,7 @@ main()
                      "  \"tenant\": {\"tenants\": %u, "
                      "\"agg_allocs\": %llu, \"ops\": %llu, "
                      "\"wall_sec\": %.6g, \"ops_per_sec\": %.6g},\n",
-                     tenants,
+                     kTenants,
                      static_cast<unsigned long long>(agg_allocs),
                      static_cast<unsigned long long>(tenant_ops),
                      tenant_wall, tenant_ops_per_sec);

@@ -16,7 +16,7 @@
  *  - pressure ladder: with the budget set between one- and
  *    two-survivor residency, the ladder must reclaim pages, OOM-kill
  *    at least one tenant, and leave at least one tenant to finish;
- *  - seeded-plan determinism: the same CHERIVOKE_FAULT_SEED yields
+ *  - seeded-plan determinism: the same fault seed yields
  *    the same plan text and a bit-identical replay;
  *  - supervision matrix: with the background sweeper enabled, one
  *    cell per degradation-ladder rung (slow sweeper that recovers on
@@ -35,9 +35,8 @@
  * survivor throughput — host wall-clock, excluded from the gate).
  *
  * Environment: the shared bench_common.hh knobs; the matrix pins
- * tenants/scope/policy/plan per cell (they are the experiment, not
- * configuration), so CHERIVOKE_FAULT_PLAN / CHERIVOKE_PAGE_BUDGET_MIB
- * are ignored here while CHERIVOKE_FAULT_SEED seeds the seeded phase.
+ * tenants/policy/plan/seed per cell (they are the experiment, not
+ * configuration).
  *
  * CHERIVOKE_FAULT_SUPERVISION_ONLY=1 runs just the supervision
  * matrix (control + sweeper stall/crash/slow cells, both
@@ -84,18 +83,9 @@ baseConfig()
 {
     sim::ExperimentConfig cfg = bench::defaultConfig();
     cfg.tenants = 3;
-    cfg.tenantScope = tenant::RevocationScope::PerTenant;
     cfg.policy = revoke::PolicyKind::StopTheWorld;
-    cfg.tenantWeights.clear();
-    cfg.tenantPolicies.clear();
-    cfg.tenantBackends.clear();
-    cfg.tenantHeapMiB = 0;
-    cfg.tenantChurn = 0;
     cfg.scale = 1.0;
     cfg.durationSec = 1.0;
-    cfg.faultPlanText.clear();
-    cfg.faultSeed = 0;
-    cfg.pageBudgetMiB = 0;
     return cfg;
 }
 
@@ -337,9 +327,9 @@ struct SupervisionCell
     std::string detText;
 };
 
-/** The ladder rungs, one cell each, with sweeperRetries pinned to 2
- *  (each failed episode costs 1 stall + 2 retries before
- *  escalating). Strikes accumulate per domain across epochs. */
+/** The ladder rungs, one cell each. The engine grants 2 watchdog
+ *  retries, so each failed episode costs 1 stall + 2 retries before
+ *  escalating. Strikes accumulate per domain across epochs. */
 std::vector<SupervisionCell>
 supervisionCells()
 {
@@ -372,7 +362,6 @@ runSupervisionCell(SupervisionCell cell,
 {
     sim::ExperimentConfig cfg = base;
     cfg.bgSweeper = true;
-    cfg.sweeperRetries = 2; // the expected counts assume this
     cfg.faultPlanText = cell.plan;
     const sim::MultiTenantBenchResult res =
         sim::runMultiTenantBenchmark(profile, cfg,
@@ -721,11 +710,10 @@ main()
 
     const workload::BenchmarkProfile profile = faultProfile();
     const sim::ExperimentConfig base = baseConfig();
-    bench::printKnobs();
     const bool supervision_only =
         envI64("CHERIVOKE_FAULT_SUPERVISION_ONLY", 0, 0) != 0;
-    const uint64_t seed =
-        base.faultSeed ? base.faultSeed : 0xC0FFEEULL;
+    bench::printKnobs();
+    const uint64_t seed = 0xC0FFEEULL; //!< seeds the seeded phase
 
     // One recording, through the binary codec, shared by every cell
     // and both determinism passes.

@@ -31,8 +31,8 @@
  * thread-count configuration and std::thread::hardware_concurrency()
  * so trajectory tracking can bucket hosts.
  *
- * Environment (strict parsing; bench_common.hh knobs apply too —
- * CHERIVOKE_REMOTE_BATCH sets the batch capacity everywhere):
+ * Environment (strict parsing; bench_common.hh knobs apply too;
+ * every phase uses the default remoteBatch capacity of 32):
  *   CHERIVOKE_MUTATOR_OPS      = trace ops for the race phases
  *                                (default 40000)
  *   CHERIVOKE_MSGPASS_ENTRIES  = entries per producer in msgpass

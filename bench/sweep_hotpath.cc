@@ -18,9 +18,9 @@
  * into BENCH_sweep.json so the perf trajectory is tracked PR over
  * PR.
  *
- * Environment knobs (strict: malformed values fail the run):
- *   CHERIVOKE_BENCH_ALLOCS = image size in allocations (default 80000)
- *   CHERIVOKE_BENCH_SECS   = min measure window per config (default 0.2)
+ * The image size (kImageAllocs) and the minimum measure window per
+ * configuration (kWindowSec) are fixed in code; the bench reads no
+ * CHERIVOKE_* knob.
  */
 
 #include <chrono>
@@ -31,14 +31,19 @@
 #include <vector>
 
 #include "alloc/cherivoke_alloc.hh"
+#include "bench_common.hh"
 #include "revoke/sweeper.hh"
 #include "stats/table.hh"
-#include "support/env.hh"
 #include "support/rng.hh"
 
 using namespace cherivoke;
 
 namespace {
+
+/** Image size in allocations. */
+constexpr uint64_t kImageAllocs = 80000;
+/** Minimum measure window per configuration, in seconds. */
+constexpr double kWindowSec = 0.2;
 
 double
 now()
@@ -94,15 +99,12 @@ struct SweepRow
 int
 main()
 {
-    const uint64_t allocs = static_cast<uint64_t>(
-        envI64("CHERIVOKE_BENCH_ALLOCS", 80000));
-    const double window = envF64("CHERIVOKE_BENCH_SECS", 0.2);
-    announceEnvKnobs();
+    bench::printKnobs();
 
     std::printf("==============================================\n");
     std::printf("Sweep/paint hot-path throughput "
                 "(%llu allocations)\n",
-                static_cast<unsigned long long>(allocs));
+                static_cast<unsigned long long>(kImageAllocs));
     std::printf("==============================================\n");
 
     // One deterministic pointered image; every configuration reuses
@@ -111,8 +113,8 @@ main()
     alloc::CherivokeAllocator heap(space, alloc::CherivokeConfig{});
     Rng rng(1234);
     std::vector<cap::Capability> live;
-    live.reserve(allocs);
-    for (uint64_t i = 0; i < allocs; ++i) {
+    live.reserve(kImageAllocs);
+    for (uint64_t i = 0; i < kImageAllocs; ++i) {
         const cap::Capability c =
             heap.malloc(rng.nextLogUniform(32, 2048));
         space.memory().writeCap(
@@ -179,7 +181,7 @@ main()
         double painting = 0;
         uint64_t iters = 0;
         const double begin = now();
-        while (now() - begin < window || iters < 3) {
+        while (now() - begin < kWindowSec || iters < 3) {
             const double t0 = now();
             paintOnce();
             painting += now() - t0;
@@ -223,7 +225,7 @@ main()
         double sweeping = 0;
         uint64_t iters = 0, pages = 0;
         const double begin = now();
-        while (now() - begin < window || iters < 3) {
+        while (now() - begin < kWindowSec || iters < 3) {
             const double t0 = now();
             const revoke::SweepStats s = sweeper.sweep(space, shadow);
             sweeping += now() - t0;
@@ -288,7 +290,7 @@ main()
         std::fprintf(json, "{\n");
         std::fprintf(json, "  \"bench\": \"sweep_hotpath\",\n");
         std::fprintf(json, "  \"allocations\": %llu,\n",
-                     static_cast<unsigned long long>(allocs));
+                     static_cast<unsigned long long>(kImageAllocs));
         std::fprintf(json, "  \"painted_granules\": %llu,\n",
                      static_cast<unsigned long long>(
                          painted_granules));
@@ -332,12 +334,12 @@ main()
     }
 
     // Gate parallel health wherever the host can show it: with
-    // >= 4 hardware threads a working implementation wins clearly
-    // (2-3x on quiet machines), so only a catastrophic threading
-    // regression lands outside a 25% noise margin over serial —
-    // shared CI runners stay deterministic, a serialisation bug
-    // still fails the job. The speedups themselves are reported as
-    // data (and in BENCH_sweep.json) rather than gated exactly.
+    // >= 4 hardware threads the bench fails only when 4-shard paint
+    // or 4-thread sweep is more than 25% slower than serial. It does
+    // not require a speedup — the 25% margin absorbs shared-runner
+    // noise while a catastrophic threading regression still fails
+    // the job. The speedups themselves are reported as data (and in
+    // BENCH_sweep.json) rather than gated.
     bool perf_ok = true;
     if (hw >= 4) {
         if (paint_4 > paint_serial * 1.25) {

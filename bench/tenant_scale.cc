@@ -41,15 +41,12 @@
  *
  * Environment (strict parsing; see bench_common.hh for the shared
  * engine knobs which all apply here too; the churn and mixed-policy
- * phases pin scope/policy knobs — they are correctness gates, not
+ * phases pin the policy — they are correctness gates, not
  * configuration axes):
  *   CHERIVOKE_TENANT_AGG_ALLOCS = aggregate live-allocation target
  *                                 (default 1000000)
- *   CHERIVOKE_TENANT_MAX        = largest tenant count (default 8)
- *   CHERIVOKE_TENANT_CHURN     = churn cycles in the churn phase
- *                                 (default 4; 0 skips the phase;
- *                                 1 is raised to 2 so slot reuse
- *                                 is always exercised)
+ * The tenant counts (powers of two up to kTenantMax = 8) and the
+ * churn phase's kChurnCycles = 4 cycles are fixed in code.
  */
 
 #include <chrono>
@@ -78,6 +75,11 @@ now()
 constexpr double kMeanAllocBytes = 128.0;
 /** Aggregate free traffic, split evenly across tenants. */
 constexpr double kAggFreeRateMiBps = 64.0;
+/** Largest tenant count (the last scaling row). */
+constexpr unsigned kTenantMax = 8;
+/** Spawn→retire cycles in the churn phase (>= 2, so slot reuse is
+ *  always exercised). */
+constexpr unsigned kChurnCycles = 4;
 
 /**
  * The consolidated-service profile for N tenants: each tenant is a
@@ -110,18 +112,9 @@ sim::ExperimentConfig
 rowConfig(unsigned tenants)
 {
     sim::ExperimentConfig cfg = bench::defaultConfig();
-    // The tenant count IS this bench's x-axis and the heap targets
-    // come from sliceProfile, so the CHERIVOKE_TENANTS /
-    // _TENANT_WEIGHTS / _TENANT_HEAP_MIB / _TENANT_POLICIES /
-    // _TENANT_BACKENDS / _TENANT_CHURN overrides do not apply to the
-    // scaling rows (policy, backend, threads, shards, and
-    // _TENANT_SCOPE still do; churn has its own phase below).
+    // The tenant count IS this bench's x-axis; the heap targets come
+    // from sliceProfile.
     cfg.tenants = tenants;
-    cfg.tenantWeights.clear();
-    cfg.tenantHeapMiB = 0;
-    cfg.tenantPolicies.clear();
-    cfg.tenantBackends.clear();
-    cfg.tenantChurn = 0;
     cfg.scale = 1.0; //!< real allocation counts, no scaling
     cfg.durationSec = 2.0;
     return cfg;
@@ -269,8 +262,6 @@ main()
 {
     const uint64_t agg_allocs = static_cast<uint64_t>(
         envI64("CHERIVOKE_TENANT_AGG_ALLOCS", 1000000));
-    const unsigned max_tenants = static_cast<unsigned>(
-        envI64("CHERIVOKE_TENANT_MAX", 8));
 
     bench::printSystems("Multi-tenant consolidation scaling "
                         "(bench/tenant_scale)");
@@ -279,13 +270,11 @@ main()
     std::printf("aggregate live-allocation target: %llu across up "
                 "to %u tenants\n\n",
                 static_cast<unsigned long long>(agg_allocs),
-                max_tenants);
+                kTenantMax);
 
     std::vector<unsigned> counts;
-    for (unsigned n = 1; n <= max_tenants; n *= 2)
+    for (unsigned n = 1; n <= kTenantMax; n *= 2)
         counts.push_back(n);
-    if (counts.back() != max_tenants)
-        counts.push_back(max_tenants);
 
     bool ok = true;
     std::vector<Row> rows;
@@ -383,28 +372,20 @@ main()
     }
 
     // ---- tenant_churn phase -------------------------------------
-    // Mid-run arrival/departure at a reduced aggregate: C cycles of
-    // spawn -> run -> retire, driven by lifecycle ops recorded in
-    // tenant 0's (codec-round-tripped) trace. Scope and policies are
-    // pinned (per-tenant + stop-the-world) so each churn tenant's
-    // statistics are a pure function of its trace: the fresh-slot
+    // Mid-run arrival/departure at a reduced aggregate: kChurnCycles
+    // cycles of spawn -> run -> retire, driven by lifecycle ops
+    // recorded in tenant 0's (codec-round-tripped) trace. Per-tenant
+    // scope plus a pinned stop-the-world policy make each churn
+    // tenant's statistics are a pure function of its trace: the fresh-slot
     // cycle and every reused-slot cycle must match bit for bit.
-    // 0 skips the phase (matching the knob's meaning everywhere
-    // else); any non-zero request runs at least 2 cycles so the
-    // slot-reuse gate is always exercised.
-    unsigned churn_cycles = static_cast<unsigned>(
-        envI64("CHERIVOKE_TENANT_CHURN", 4, 0));
-    if (churn_cycles == 1)
-        churn_cycles = 2;
     sim::MultiTenantBenchResult churn_bench;
     bool churn_reuse_ok = true, churn_identical = true,
          churn_complete = true, churn_deterministic = true;
-    if (churn_cycles > 0) {
+    {
         const workload::BenchmarkProfile profile =
             sliceProfile(2, std::max<uint64_t>(agg_allocs / 4, 20000));
         sim::ExperimentConfig cfg = rowConfig(2);
-        cfg.tenantChurn = churn_cycles;
-        cfg.tenantScope = tenant::RevocationScope::PerTenant;
+        cfg.tenantChurn = kChurnCycles;
         cfg.policy = revoke::PolicyKind::StopTheWorld;
         cfg.durationSec = 1.0;
 
@@ -429,8 +410,8 @@ main()
                     ev.reusedSlot && ev.slot == churn_slot;
             }
         }
-        churn_reuse_ok &= m.retires == churn_cycles &&
-                          m.slotsReused == churn_cycles - 1;
+        churn_reuse_ok &= m.retires == kChurnCycles &&
+                          m.slotsReused == kChurnCycles - 1;
         if (!churn_reuse_ok) {
             std::printf("FAILED: churn spawn did not reuse the "
                         "retired slot\n");
@@ -478,7 +459,7 @@ main()
 
         std::printf("churn phase: %u cycles, %llu retires, %llu "
                     "slot reuses, reuse %s fresh-slot stats\n\n",
-                    churn_cycles,
+                    kChurnCycles,
                     static_cast<unsigned long long>(m.retires),
                     static_cast<unsigned long long>(m.slotsReused),
                     churn_identical ? "matches" : "DIVERGED from");
@@ -496,7 +477,6 @@ main()
         const workload::BenchmarkProfile profile =
             sliceProfile(2, std::max<uint64_t>(agg_allocs / 4, 20000));
         sim::ExperimentConfig cfg = rowConfig(2);
-        cfg.tenantScope = tenant::RevocationScope::PerTenant;
         cfg.tenantPolicies = {revoke::PolicyKind::Concurrent,
                               revoke::PolicyKind::StopTheWorld};
         cfg.pagesPerSlice = 16; // several slices per concurrent epoch
@@ -619,7 +599,7 @@ main()
         // of the spawn (region + allocator setup) or retire (epoch
         // drain + PTE unmap + bulk page release).
         std::fprintf(json, "  \"churn\": {\n");
-        std::fprintf(json, "    \"cycles\": %u,\n", churn_cycles);
+        std::fprintf(json, "    \"cycles\": %u,\n", kChurnCycles);
         std::fprintf(json, "    \"spawns\": %llu,\n",
                      static_cast<unsigned long long>(
                          churn_bench.run.spawns));

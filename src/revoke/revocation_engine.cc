@@ -525,17 +525,18 @@ RevocationEngine::dispatchBackgroundSweep()
     supervisor_.record({SweeperEventKind::Dispatch, epoch_domain_,
                         bg_epoch_seq_, bg_total_, 0});
 
-    // Per-epoch deadline: the configured override, or the §6.1.3
-    // sweep-cost estimate for this worklist. The assumed scan rate
-    // is the paper's commodity-DRAM order of magnitude; the derived
-    // deadline carries generous slack on top.
+    // Per-epoch deadline: the §6.1.3 sweep-cost estimate for this
+    // worklist. The assumed scan rate is the paper's commodity-DRAM
+    // order of magnitude; the derived deadline carries generous
+    // slack on top. A missed deadline earns kSweeperRetries bounded
+    // retries (exponential backoff: the window doubles per retry)
+    // before the degradation ladder fires.
     constexpr double kAssumedScanRate = 1024.0 * 1024 * 1024;
-    const uint64_t window =
-        config_.epochDeadlineMs > 0
-            ? static_cast<uint64_t>(config_.epochDeadlineMs * 1e6)
-            : derivedEpochDeadlineNs(bg_total_, kAssumedScanRate);
-    supervisor_.watchdog().arm(clock().nowNs(), window,
-                               config_.sweeperRetries);
+    constexpr unsigned kSweeperRetries = 2;
+    supervisor_.watchdog().arm(
+        clock().nowNs(),
+        derivedEpochDeadlineNs(bg_total_, kAssumedScanRate),
+        kSweeperRetries);
 
     bg_->dispatch(std::move(snapshot),
                   &dom.allocator->shadowMap(),

@@ -136,14 +136,6 @@ struct EngineConfig
      *  produced by the (unchanged) mutator-assist replay — a bg-on
      *  run is bit-identical to bg-off by construction. */
     bool backgroundSweeper = false;
-    /** Watchdog deadline per epoch in milliseconds; 0 derives it
-     *  from the §6.1.3 sweep-cost model (worklist bytes over the
-     *  assumed scan rate, with slack). */
-    double epochDeadlineMs = 0;
-    /** Bounded watchdog retries (exponential backoff: the deadline
-     *  window doubles per retry) before the degradation ladder
-     *  fires. */
-    unsigned sweeperRetries = 2;
     /** Injectable clock for the watchdog (null → a steady clock
      *  owned by the engine). Deterministic chaos never reads it:
      *  injected sweeper faults are states, observed at rendezvous

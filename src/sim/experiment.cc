@@ -105,8 +105,6 @@ engineConfigFor(const ExperimentConfig &config)
     engine_cfg.backend = config.backend;
     engine_cfg.backendConfig = config.backendConfig;
     engine_cfg.backgroundSweeper = config.bgSweeper;
-    engine_cfg.epochDeadlineMs = config.epochDeadlineMs;
-    engine_cfg.sweeperRetries = config.sweeperRetries;
     return engine_cfg;
 }
 
@@ -214,10 +212,6 @@ makeTenantChurnPlan(const workload::BenchmarkProfile &profile,
     if (config.tenantChurn == 0)
         return plan;
 
-    workload::BenchmarkProfile tenant_profile = profile;
-    if (config.tenantHeapMiB > 0)
-        tenant_profile.liveHeapMiB = config.tenantHeapMiB;
-
     // Every cycle spawns the same definition shape: a short-lived
     // tenant aggressive enough to revoke at least once in its
     // lifetime, so reusing a stale slot would corrupt *measured*
@@ -233,12 +227,11 @@ makeTenantChurnPlan(const workload::BenchmarkProfile &profile,
     plan.config.globalsBytes = config.globalsBytes;
     plan.config.stackBytes = config.stackBytes;
 
-    workload::SynthConfig synth_cfg =
-        synthConfigFor(tenant_profile, config);
+    workload::SynthConfig synth_cfg = synthConfigFor(profile, config);
     synth_cfg.seed = config.seed ^ 0x5bd1e995ULL;
     synth_cfg.durationSec =
         std::min(synth_cfg.durationSec, 0.25 * config.durationSec);
-    plan.trace = workload::synthesize(tenant_profile, synth_cfg);
+    plan.trace = workload::synthesize(profile, synth_cfg);
 
     if (host_ops == 0)
         return plan; // definitions only; no schedule requested
@@ -312,17 +305,13 @@ std::vector<workload::Trace>
 synthesizeTenantTraces(const workload::BenchmarkProfile &profile,
                        const ExperimentConfig &config)
 {
-    workload::BenchmarkProfile tenant_profile = profile;
-    if (config.tenantHeapMiB > 0)
-        tenant_profile.liveHeapMiB = config.tenantHeapMiB;
     std::vector<workload::Trace> traces;
     traces.reserve(config.tenants);
     for (unsigned i = 0; i < config.tenants; ++i) {
         workload::SynthConfig synth_cfg =
-            synthConfigFor(tenant_profile, config);
+            synthConfigFor(profile, config);
         synth_cfg.seed = config.seed + 0x9e3779b9ULL * i;
-        traces.push_back(
-            workload::synthesize(tenant_profile, synth_cfg));
+        traces.push_back(workload::synthesize(profile, synth_cfg));
     }
     if (config.tenantChurn > 0) {
         const TenantChurnPlan plan = makeTenantChurnPlan(
@@ -339,10 +328,6 @@ runMultiTenantBenchmark(const workload::BenchmarkProfile &profile,
                         const std::vector<workload::Trace> *traces)
 {
     CHERIVOKE_ASSERT(config.tenants >= 1);
-    if (!config.tenantWeights.empty() &&
-        config.tenantWeights.size() != config.tenants)
-        fatal("tenantWeights has %zu entries for %u tenants",
-              config.tenantWeights.size(), config.tenants);
     if (!config.tenantPolicies.empty() &&
         config.tenantPolicies.size() != config.tenants)
         fatal("tenantPolicies has %zu entries for %u tenants",
@@ -366,7 +351,6 @@ runMultiTenantBenchmark(const workload::BenchmarkProfile &profile,
 
     tenant::TenantManagerConfig mgr_cfg;
     mgr_cfg.engine = engineConfigFor(config);
-    mgr_cfg.scope = config.tenantScope;
     mgr_cfg.mutator.threads = config.mutatorThreads;
     mgr_cfg.mutator.remoteBatch = config.remoteBatch;
     if (!config.faultPlanText.empty()) {
@@ -391,9 +375,6 @@ runMultiTenantBenchmark(const workload::BenchmarkProfile &profile,
     for (unsigned i = 0; i < config.tenants; ++i) {
         tenant::TenantConfig tcfg;
         tcfg.name = profile.name + "#" + std::to_string(i);
-        tcfg.weight = config.tenantWeights.empty()
-                          ? 1.0
-                          : config.tenantWeights[i];
         tcfg.alloc = allocConfigFor(config);
         tcfg.globalsBytes = config.globalsBytes;
         tcfg.stackBytes = config.stackBytes;

@@ -70,36 +70,29 @@ struct ExperimentConfig
     uint64_t stackBytes = 512 * KiB;
 
     /** @name Multi-tenant consolidation axis
-     *  (runMultiTenantBenchmark; CHERIVOKE_TENANTS et al.) */
+     *  (runMultiTenantBenchmark; set in code by the tenant benches
+     *  and tests). Tenants run under per-tenant scope with equal
+     *  scheduling weights. */
     /// @{
     /** Co-resident tenant processes sharing one memory + engine. */
     unsigned tenants = 1;
-    /** What one tenant's quarantine-budget trigger sweeps. */
-    tenant::RevocationScope tenantScope =
-        tenant::RevocationScope::PerTenant;
-    /** Per-tenant live-heap target in MiB; 0 = the profile's own. */
-    double tenantHeapMiB = 0;
-    /** Scheduling weights, one per tenant; empty = all equal. */
-    std::vector<double> tenantWeights;
-    /** Per-tenant revocation policies (CHERIVOKE_TENANT_POLICIES,
-     *  comma-separated); empty = every tenant runs `policy`. A
-     *  mixed list makes tenants heterogeneous on the one shared
-     *  engine (epoch-owner-wins arbitration). */
+    /** Per-tenant revocation policies; empty = every tenant runs
+     *  `policy`. A mixed list makes tenants heterogeneous on the
+     *  one shared engine (epoch-owner-wins arbitration). */
     std::vector<revoke::PolicyKind> tenantPolicies;
-    /** Per-tenant revocation backends (CHERIVOKE_TENANT_BACKENDS,
-     *  comma-separated); empty = every tenant runs `backend`. The
-     *  second heterogeneity axis beside tenantPolicies: domains on
-     *  the one shared engine may mix sweep/color/objid backends. */
+    /** Per-tenant revocation backends; empty = every tenant runs
+     *  `backend`. The second heterogeneity axis beside
+     *  tenantPolicies: domains on the one shared engine may mix
+     *  sweep/color/objid backends. */
     std::vector<revoke::BackendKind> tenantBackends;
-    /** Tenant-churn cycles (CHERIVOKE_TENANT_CHURN): when > 0,
-     *  tenant 0's trace gains that many deterministic
-     *  spawn→retire cycles of short-lived extra tenants, exercising
-     *  mid-run arrival/departure and slot reuse. */
+    /** Tenant-churn cycles: when > 0, tenant 0's trace gains that
+     *  many deterministic spawn→retire cycles of short-lived extra
+     *  tenants, exercising mid-run arrival/departure and slot
+     *  reuse. */
     unsigned tenantChurn = 0;
     /// @}
 
-    /** @name Multi-threaded mutator front-end
-     *  (CHERIVOKE_MUTATOR_THREADS / CHERIVOKE_REMOTE_BATCH) */
+    /** @name Multi-threaded mutator front-end */
     /// @{
     /** Mutator threads per tenant; 1 = the classic serial
      *  front-end. Modelled statistics are bit-identical across
@@ -110,8 +103,7 @@ struct ExperimentConfig
     /// @}
 
     /** @name Fault injection and memory pressure
-     *  (CHERIVOKE_FAULT_PLAN / CHERIVOKE_FAULT_SEED /
-     *  CHERIVOKE_PAGE_BUDGET_MIB; bench/fault_matrix) */
+     *  (bench/fault_matrix) */
     /// @{
     /** Explicit chaos schedule, `kind@tenant:op[,...]` (strict
      *  grammar, see parseFaultPlan); empty = none. Takes precedence
@@ -126,24 +118,12 @@ struct ExperimentConfig
     double pageBudgetMiB = 0;
     /// @}
 
-    /** @name Supervised background revocation
-     *  (CHERIVOKE_BG_SWEEPER / CHERIVOKE_EPOCH_DEADLINE_MS /
-     *  CHERIVOKE_SWEEPER_RETRIES; bench/fault_matrix supervision
-     *  matrix) */
-    /// @{
-    /** Run a true background sweeper thread per engine, racing the
-     *  mutators over a frozen worklist snapshot. Modelled statistics
-     *  stay bit-identical to the mutator-assist build (gated in
-     *  tests and the bench harness). */
+    /** Run a true background sweeper thread per engine
+     *  (CHERIVOKE_BG_SWEEPER), racing the mutators over a frozen
+     *  worklist snapshot under watchdog supervision. Modelled
+     *  statistics stay bit-identical to the mutator-assist build
+     *  (gated in tests and the bench harness). */
     bool bgSweeper = false;
-    /** Explicit per-epoch sweeper deadline in milliseconds; 0 =
-     *  derive from the §6.1.3 sweep-cost model (worklist bytes over
-     *  an assumed scan rate, with slack). */
-    double epochDeadlineMs = 0;
-    /** Bounded watchdog retries (exponential backoff) before the
-     *  degradation ladder takes over. */
-    unsigned sweeperRetries = 2;
-    /// @}
 };
 
 /** Everything one benchmark run produces. */

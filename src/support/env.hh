@@ -36,36 +36,17 @@ struct EnvKnob
  *  @return false on empty input, trailing garbage, or overflow */
 bool parseI64(const std::string &text, int64_t &out);
 
-/** Strictly parse all of @p text as a floating-point number. */
-bool parseF64(const std::string &text, double &out);
-
 /**
  * Integer environment knob: @p fallback when unset; fatal() when set
- * but malformed or below @p min.
+ * but malformed or below @p min, and when @p name is not in
+ * knownEnvKnobs() (a misspelled name in the code would otherwise
+ * always run the default).
  */
 int64_t envI64(const char *name, int64_t fallback, int64_t min = 1);
 
-/** Floating-point environment knob; fatal() unless value >= @p min
- *  (strictly > when @p min is an exclusive bound of 0). */
-double envF64(const char *name, double fallback, double min = 0);
-
-/**
- * Comma-separated list of positive doubles (e.g. tenant scheduling
- * weights, `CHERIVOKE_TENANT_WEIGHTS=2,1,1`). Unset → empty vector;
- * malformed or non-positive entries → fatal().
- */
-std::vector<double> envF64List(const char *name);
-
-/** String environment knob: @p fallback when unset (no validation
- *  beyond non-emptiness of the registry record). */
+/** String environment knob: @p fallback when unset (the caller
+ *  validates the text); fatal() on an unregistered @p name. */
 std::string envStr(const char *name, const std::string &fallback);
-
-/**
- * Comma-separated list of raw strings (the caller validates each
- * item, e.g. against a policy or backend name table). Unset → empty
- * vector; set-but-empty items → fatal().
- */
-std::vector<std::string> envStrList(const char *name);
 
 /**
  * Reject misspelled knobs: scan the process environment for
@@ -74,7 +55,7 @@ std::vector<std::string> envStrList(const char *name);
  * (`CHERIVOKE_BACKEDN` → "did you mean CHERIVOKE_BACKEND?"). A typo'd
  * knob silently running the default configuration is the one strict
  * parsing cannot catch — the variable is simply never queried.
- * Benches call this before parsing their configuration.
+ * Every bench calls this through bench::printKnobs() before it runs.
  */
 void validateEnvironment();
 

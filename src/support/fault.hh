@@ -15,7 +15,7 @@
  * existing EXPECT_THROW(..., FatalError) contract holds.
  *
  * The file also defines the deterministic fault-injection plan
- * (CHERIVOKE_FAULT_PLAN / CHERIVOKE_FAULT_SEED): a list of
+ * (sim::ExperimentConfig::faultPlanText / faultSeed): a list of
  * (kind, tenant, op-index) injections, either parsed from the strict
  * `kind@tenant:op[,...]` grammar or generated from a seed, that a
  * TenantManager fires through the TraceReplayer hook machinery so

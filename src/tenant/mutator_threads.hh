@@ -10,7 +10,7 @@
  * `id` is *executed* by thread `opIndex % M`, and pointer-store ops
  * run on the destination chunk's owner. When a Free's executor is
  * not the owner it becomes a remote free: the executor batches it
- * (CHERIVOKE_REMOTE_BATCH entries per FreeBatch) onto the owner's
+ * (MutatorConfig::remoteBatch entries per FreeBatch) onto the owner's
  * lock-free MPSC RemoteFreeQueue, and the owner drains its inbox
  * into its quarantine tallies on its malloc slow path, at epoch
  * boundaries, and at teardown.
@@ -62,8 +62,8 @@
 namespace cherivoke {
 namespace tenant {
 
-/** Mutator front-end knobs (CHERIVOKE_MUTATOR_THREADS /
- *  CHERIVOKE_REMOTE_BATCH). */
+/** Mutator front-end knobs (sim::ExperimentConfig::mutatorThreads /
+ *  remoteBatch). */
 struct MutatorConfig
 {
     /** Mutator threads per tenant (1 = the classic front-end: every

@@ -20,30 +20,6 @@ wallNow()
 
 } // namespace
 
-const char *
-scopeName(RevocationScope scope)
-{
-    switch (scope) {
-      case RevocationScope::PerTenant: return "per-tenant";
-      case RevocationScope::Global: return "global";
-    }
-    return "unknown";
-}
-
-bool
-parseScope(const std::string &name, RevocationScope &out)
-{
-    if (name == "per-tenant" || name == "tenant") {
-        out = RevocationScope::PerTenant;
-        return true;
-    }
-    if (name == "global") {
-        out = RevocationScope::Global;
-        return true;
-    }
-    return false;
-}
-
 mem::AddressSpace::Layout
 layoutForTenant(size_t index)
 {

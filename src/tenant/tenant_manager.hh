@@ -95,9 +95,6 @@ enum class RevocationScope
     Global,    //!< every tenant's quarantine, one pause
 };
 
-const char *scopeName(RevocationScope scope);
-bool parseScope(const std::string &name, RevocationScope &out);
-
 /**
  * Address-space stride between tenants: each tenant's segment bases
  * are the single-process bases shifted up by index * kTenantStride,
@@ -335,12 +332,11 @@ struct TenantManagerConfig
      *  traffic, race run inline). */
     MutatorConfig mutator{};
 
-    /** Deterministic chaos schedule (CHERIVOKE_FAULT_PLAN /
-     *  CHERIVOKE_FAULT_SEED); empty = no injections. */
+    /** Deterministic chaos schedule; empty = no injections. */
     FaultPlan faultPlan{};
 
-    /** Soft resident-page budget over the shared TaggedMemory
-     *  (CHERIVOKE_PAGE_BUDGET_MIB); 0 = unlimited. Exceeding it
+    /** Soft resident-page budget over the shared TaggedMemory;
+     *  0 = unlimited. Exceeding it
      *  walks the escalation ladder: emergency revocation of the
      *  pressured tenant → backoff and a global reclaim pass →
      *  tenant OOM-kill as the last resort. */

@@ -274,7 +274,6 @@ injectedConfig(std::vector<SweeperInjection> plan)
     cfg.policy = PolicyKind::Incremental;
     cfg.pagesPerSlice = 8;
     cfg.backgroundSweeper = true;
-    cfg.sweeperRetries = 2;
     cfg.sweeperPlan = std::move(plan);
     return cfg;
 }
@@ -387,7 +386,6 @@ TEST(SweeperContainment, ThirdStrikeRetiresOnlyTheVictim)
 {
     tenant::TenantManagerConfig mgr_cfg;
     mgr_cfg.engine.backgroundSweeper = true;
-    mgr_cfg.engine.sweeperRetries = 2;
     mgr_cfg.faultPlan.sweeper = {
         {SweeperFaultKind::Stall, 1, 1, 1},
         {SweeperFaultKind::Stall, 1, 2, 1},

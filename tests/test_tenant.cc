@@ -306,7 +306,7 @@ TEST(TenantManager, SharedEngineAggregatesAcrossTenants)
     EXPECT_GT(result.tenants[1].run.revoker.epochs, 0u);
 }
 
-TEST(EnvParsing, StrictIntegerAndFloat)
+TEST(EnvParsing, StrictInteger)
 {
     int64_t i = 0;
     EXPECT_TRUE(parseI64("42", i));
@@ -315,12 +315,6 @@ TEST(EnvParsing, StrictIntegerAndFloat)
     EXPECT_FALSE(parseI64("abc", i));
     EXPECT_FALSE(parseI64("3x", i));
     EXPECT_FALSE(parseI64("99999999999999999999", i));
-
-    double d = 0;
-    EXPECT_TRUE(parseF64("2.5", d));
-    EXPECT_DOUBLE_EQ(d, 2.5);
-    EXPECT_FALSE(parseF64("2.5q", d));
-    EXPECT_FALSE(parseF64("", d));
 
     // Unset -> fallback; malformed -> fatal, never a silent default.
     unsetenv("CHERIVOKE_TEST_KNOB");
@@ -331,16 +325,19 @@ TEST(EnvParsing, StrictIntegerAndFloat)
     EXPECT_THROW(envI64("CHERIVOKE_TEST_KNOB", 7), FatalError);
     setenv("CHERIVOKE_TEST_KNOB", "12", 1);
     EXPECT_EQ(envI64("CHERIVOKE_TEST_KNOB", 7), 12);
-
-    setenv("CHERIVOKE_TEST_KNOB", "2,1,1", 1);
-    const std::vector<double> w =
-        envF64List("CHERIVOKE_TEST_KNOB");
-    ASSERT_EQ(w.size(), 3u);
-    EXPECT_DOUBLE_EQ(w[0], 2.0);
-    setenv("CHERIVOKE_TEST_KNOB", "2,,1", 1);
-    EXPECT_THROW(envF64List("CHERIVOKE_TEST_KNOB"), FatalError);
     unsetenv("CHERIVOKE_TEST_KNOB");
-    EXPECT_TRUE(envF64List("CHERIVOKE_TEST_KNOB").empty());
+}
+
+TEST(EnvParsing, UnregisteredNameInCodeIsFatal)
+{
+    // A reader that misspells its own knob would otherwise always
+    // run the default: the query itself is refused, set or not.
+    unsetenv("CHERIVOKE_TEST_KNBO");
+    EXPECT_THROW(envI64("CHERIVOKE_TEST_KNBO", 7), FatalError);
+    EXPECT_THROW(envStr("CHERIVOKE_TEST_KNBO", "x"), FatalError);
+    setenv("CHERIVOKE_TEST_KNBO", "12", 1);
+    EXPECT_THROW(envI64("CHERIVOKE_TEST_KNBO", 7), FatalError);
+    unsetenv("CHERIVOKE_TEST_KNBO");
 }
 
 TEST(EnvParsing, UnknownKnobIsFatalWithSuggestion)
@@ -367,6 +364,23 @@ TEST(EnvParsing, UnknownKnobIsFatalWithSuggestion)
     unsetenv("CHERIVOKE_BACKEDN");
     EXPECT_NO_THROW(validateEnvironment());
 
+    // A retired knob left over in a script fails closed too, rather
+    // than being echoed and ignored.
+    setenv("CHERIVOKE_TENANTS", "3", 1);
+    try {
+        validateEnvironment();
+        FAIL() << "retired knob was accepted";
+    } catch (const FatalError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("CHERIVOKE_TENANTS"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("unknown CHERIVOKE_* knob"),
+                  std::string::npos)
+            << what;
+    }
+    unsetenv("CHERIVOKE_TENANTS");
+    EXPECT_NO_THROW(validateEnvironment());
+
     // Every knob the table advertises is itself accepted.
     for (const std::string &knob : knownEnvKnobs()) {
         setenv(knob.c_str(), "1", 1);
@@ -375,17 +389,4 @@ TEST(EnvParsing, UnknownKnobIsFatalWithSuggestion)
     for (const std::string &knob : knownEnvKnobs()) {
         unsetenv(knob.c_str());
     }
-}
-
-TEST(TenantScope, ParseAndName)
-{
-    tenant::RevocationScope scope;
-    EXPECT_TRUE(tenant::parseScope("per-tenant", scope));
-    EXPECT_EQ(scope, tenant::RevocationScope::PerTenant);
-    EXPECT_TRUE(tenant::parseScope("global", scope));
-    EXPECT_EQ(scope, tenant::RevocationScope::Global);
-    EXPECT_FALSE(tenant::parseScope("bogus", scope));
-    EXPECT_STREQ(tenant::scopeName(
-                     tenant::RevocationScope::PerTenant),
-                 "per-tenant");
 }
