@@ -116,9 +116,7 @@ CherivokeAllocator::free(const cap::Capability &capability)
     const DlAllocator::QuarantinedChunk chunk =
         dl_.quarantineFree(capability);
     if (observer_ &&
-        observer_->onFree(chunk.addr, chunk.size,
-                          capability.base()) ==
-            FreeRouting::ReleaseNow) {
+        observer_->onFree(capability) == FreeRouting::ReleaseNow) {
         // Metadata-checked backends (colors, object IDs) make the
         // memory reusable immediately: the stale references are
         // caught by their per-use check, not by a tag sweep.

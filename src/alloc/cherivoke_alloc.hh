@@ -67,13 +67,17 @@ class AllocObserver
         return capability;
     }
 
-    /** Route a free: quarantine (default) or release immediately. */
+    /**
+     * Route a free: quarantine (default) or release immediately.
+     * @p capability is the one the program freed, already validated
+     * (a wild or double free faults before the observer runs), so
+     * per-allocation metadata the observer minted into it in onAlloc
+     * (a color) comes back here without a side table.
+     */
     virtual FreeRouting
-    onFree(uint64_t chunk_addr, uint64_t chunk_size, uint64_t payload)
+    onFree(const cap::Capability &capability)
     {
-        (void)chunk_addr;
-        (void)chunk_size;
-        (void)payload;
+        (void)capability;
         return FreeRouting::Quarantine;
     }
 };

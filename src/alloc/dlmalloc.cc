@@ -95,7 +95,7 @@ DlAllocator::extendTop(uint64_t min_bytes)
     heap_end_ += grow;
     ChunkView t = view(top_);
     t.setHeader(t.size() + grow, t.sizeWord() & kFlagMask);
-    counters_.counter("alloc.extends").increment();
+    c_extends_.in(counters_).increment();
 }
 
 uint64_t
@@ -160,7 +160,7 @@ DlAllocator::maybeSplit(uint64_t addr, uint64_t chunk_size)
         // The remainder inherits PINUSE = 1 (we are in use).
         view(addr + chunk_size).setHeader(orig - chunk_size, kPinuse);
         insertFreeChunk(addr + chunk_size, orig - chunk_size);
-        counters_.counter("alloc.splits").increment();
+        c_splits_.in(counters_).increment();
     } else {
         c.setHeader(orig, kCinuse | pinuse);
         // Next chunk borders an in-use chunk again.
@@ -258,7 +258,7 @@ DlAllocator::capForPayload(uint64_t payload, uint64_t requested) const
 Capability
 DlAllocator::malloc(uint64_t size)
 {
-    counters_.counter("alloc.malloc_calls").increment();
+    c_malloc_calls_.in(counters_).increment();
     const uint64_t requested = std::max<uint64_t>(size, 1);
     uint64_t payload_len = alignUp(requested, kGranuleBytes);
 
@@ -290,8 +290,7 @@ DlAllocator::malloc(uint64_t size)
 
     const uint64_t payload = addr + kChunkHeader;
     live_bytes_ += view(addr).size() - kChunkHeader;
-    counters_.counter("alloc.allocated_bytes")
-        .increment(view(addr).size());
+    c_allocated_bytes_.in(counters_).increment(view(addr).size());
     return capForPayload(payload, bounds_len);
 }
 
@@ -349,7 +348,7 @@ DlAllocator::checkedFreeView(uint64_t addr) const
 void
 DlAllocator::freeAddr(uint64_t payload)
 {
-    counters_.counter("alloc.free_calls").increment();
+    c_free_calls_.in(counters_).increment();
     const uint64_t addr = chunkOf(payload);
     ChunkView c = checkedFreeView(addr);
     live_bytes_ -= c.size() - kChunkHeader;
@@ -434,7 +433,7 @@ DlAllocator::usableSize(uint64_t payload) const
 DlAllocator::QuarantinedChunk
 DlAllocator::quarantineFree(const Capability &capability)
 {
-    counters_.counter("alloc.quarantine_frees").increment();
+    c_quarantine_frees_.in(counters_).increment();
     if (!capability.tag())
         heapFault(HeapFaultKind::WildFree,
                   "free() through an untagged capability");
@@ -461,7 +460,7 @@ DlAllocator::mergeQuarantinedRun(uint64_t addr, uint64_t new_size)
 void
 DlAllocator::internalFree(uint64_t addr, uint64_t size)
 {
-    counters_.counter("alloc.internal_frees").increment();
+    c_internal_frees_.in(counters_).increment();
     ChunkView c = view(addr);
     CHERIVOKE_ASSERT(c.quarantined() && c.size() == size,
                      "(internalFree of non-quarantined run)");
@@ -500,8 +499,7 @@ DlAllocator::releaseColdPages()
     }
     // The wilderness chunk: only its header matters.
     release_interior(top_ + kMinChunk, heap_end_);
-    counters_.counter("alloc.cold_pages_released")
-        .increment(released);
+    c_cold_pages_released_.in(counters_).increment(released);
     return released;
 }
 

@@ -272,6 +272,15 @@ class DlAllocator
     mutable ChunkAccessCounters chunk_counters_;
     stats::Counter *c_bin_scan_steps_ = nullptr;
     stats::Counter *c_bin_searches_ = nullptr;
+    stats::LazyCounter c_extends_{"alloc.extends"};
+    stats::LazyCounter c_splits_{"alloc.splits"};
+    stats::LazyCounter c_malloc_calls_{"alloc.malloc_calls"};
+    stats::LazyCounter c_allocated_bytes_{"alloc.allocated_bytes"};
+    stats::LazyCounter c_free_calls_{"alloc.free_calls"};
+    stats::LazyCounter c_quarantine_frees_{"alloc.quarantine_frees"};
+    stats::LazyCounter c_internal_frees_{"alloc.internal_frees"};
+    stats::LazyCounter c_cold_pages_released_{
+        "alloc.cold_pages_released"};
     /// @}
 };
 

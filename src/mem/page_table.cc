@@ -1,5 +1,8 @@
 #include "mem/page_table.hh"
 
+#include <bit>
+#include <new>
+
 #include "support/bitops.hh"
 #include "support/logging.hh"
 
@@ -13,9 +16,29 @@ PageTable::map(uint64_t base, uint64_t size, uint8_t prot,
     CHERIVOKE_ASSERT(isAligned(base, kPageBytes) &&
                      isAligned(size, kPageBytes),
                      "(map must be page aligned)");
-    for (uint64_t vpn = base >> kPageShift;
-         vpn < (base + size) >> kPageShift; ++vpn) {
-        Pte &pte = ptes_[vpn];
+    const uint64_t vpn_end = (base + size) >> kPageShift;
+    if (vpn_end > kMaxVpn) {
+        fatal("map of 0x%llx beyond the %u-bit simulated VA space",
+              static_cast<unsigned long long>(base + size), kVaBits);
+    }
+    for (uint64_t vpn = base >> kPageShift; vpn < vpn_end; ++vpn) {
+        const uint64_t ri = vpn >> kLeafBits;
+        if (ri >= root_.size())
+            root_.resize(ri + 1);
+        if (!root_[ri]) {
+            auto *leaf =
+                static_cast<Leaf *>(std::calloc(1, sizeof(Leaf)));
+            if (!leaf)
+                throw std::bad_alloc();
+            root_[ri].reset(leaf);
+        }
+        Leaf &leaf = *root_[ri];
+        const size_t i = vpn & (kLeafEntries - 1);
+        if (!leaf.present(i)) {
+            leaf.presentBits[i >> 6] |= uint64_t{1} << (i & 63);
+            ++pages_;
+        }
+        Pte &pte = leaf.ptes[i];
         pte.prot = prot;
         pte.capStoreInhibit = cap_store_inhibit;
     }
@@ -29,22 +52,19 @@ PageTable::unmap(uint64_t base, uint64_t size)
                      "(unmap must be page aligned)");
     for (uint64_t vpn = base >> kPageShift;
          vpn < (base + size) >> kPageShift; ++vpn) {
-        ptes_.erase(vpn);
+        const uint64_t ri = vpn >> kLeafBits;
+        if (ri >= root_.size())
+            break;
+        if (!root_[ri])
+            continue;
+        Leaf &leaf = *root_[ri];
+        const size_t i = vpn & (kLeafEntries - 1);
+        if (!leaf.present(i))
+            continue;
+        leaf.presentBits[i >> 6] &= ~(uint64_t{1} << (i & 63));
+        leaf.ptes[i] = Pte{};
+        --pages_;
     }
-}
-
-const Pte *
-PageTable::lookup(uint64_t addr) const
-{
-    auto it = ptes_.find(addr >> kPageShift);
-    return it == ptes_.end() ? nullptr : &it->second;
-}
-
-Pte *
-PageTable::lookup(uint64_t addr)
-{
-    auto it = ptes_.find(addr >> kPageShift);
-    return it == ptes_.end() ? nullptr : &it->second;
 }
 
 bool
@@ -66,14 +86,33 @@ PageTable::clearCapDirty(uint64_t addr)
     pte->capDirty = false;
 }
 
+template <typename Fn>
+void
+PageTable::forEachMapped(Fn &&fn) const
+{
+    for (size_t ri = 0; ri < root_.size(); ++ri) {
+        const Leaf *leaf = root_[ri].get();
+        if (!leaf)
+            continue;
+        for (size_t w = 0; w < leaf->presentBits.size(); ++w) {
+            for (uint64_t bits = leaf->presentBits[w]; bits != 0;
+                 bits &= bits - 1) {
+                const size_t i =
+                    w * 64 + static_cast<size_t>(std::countr_zero(bits));
+                fn((uint64_t{ri} << kLeafBits) | i, leaf->ptes[i]);
+            }
+        }
+    }
+}
+
 std::vector<uint64_t>
 PageTable::capDirtyPages() const
 {
     std::vector<uint64_t> pages;
-    for (const auto &[vpn, pte] : ptes_) {
+    forEachMapped([&](uint64_t vpn, const Pte &pte) {
         if (pte.capDirty)
             pages.push_back(vpn << kPageShift);
-    }
+    });
     return pages;
 }
 
@@ -81,9 +120,10 @@ std::vector<uint64_t>
 PageTable::mappedPages() const
 {
     std::vector<uint64_t> pages;
-    pages.reserve(ptes_.size());
-    for (const auto &[vpn, pte] : ptes_)
+    pages.reserve(pages_);
+    forEachMapped([&](uint64_t vpn, const Pte &) {
         pages.push_back(vpn << kPageShift);
+    });
     return pages;
 }
 
@@ -91,10 +131,10 @@ size_t
 PageTable::capDirtyCount() const
 {
     size_t n = 0;
-    for (const auto &[vpn, pte] : ptes_) {
+    forEachMapped([&](uint64_t, const Pte &pte) {
         if (pte.capDirty)
             ++n;
-    }
+    });
     return n;
 }
 

@@ -133,22 +133,24 @@ TaggedMemory::pageForWrite(uint64_t addr)
 }
 
 void
+TaggedMemory::checkPte(const Pte *pte, bool write)
+{
+    if (!pte)
+        throw CapFault(FaultKind::Bounds, "access to unmapped address");
+    const uint8_t need = write ? ProtWrite : ProtRead;
+    if (!(pte->prot & need)) {
+        throw CapFault(FaultKind::Permission,
+                       "page protection violation");
+    }
+}
+
+void
 TaggedMemory::checkMapped(uint64_t addr, uint64_t size, bool write) const
 {
     const uint64_t first = addr >> kPageShift;
     const uint64_t last = (addr + size - 1) >> kPageShift;
-    for (uint64_t vpn = first; vpn <= last; ++vpn) {
-        const Pte *pte = pt_.lookup(vpn << kPageShift);
-        if (!pte) {
-            throw CapFault(FaultKind::Bounds,
-                           "access to unmapped address");
-        }
-        const uint8_t need = write ? ProtWrite : ProtRead;
-        if (!(pte->prot & need)) {
-            throw CapFault(FaultKind::Permission,
-                           "page protection violation");
-        }
-    }
+    for (uint64_t vpn = first; vpn <= last; ++vpn)
+        checkPte(pt_.lookup(vpn << kPageShift), write);
 }
 
 void
@@ -168,8 +170,7 @@ TaggedMemory::clearTagsInRange(uint64_t addr, uint64_t size)
                                   kGranuleShift);
         if (page->granuleTag(idx)) {
             page->clearGranuleTag(idx);
-            counters_.counter("mem.tags_cleared_by_overwrite")
-                .increment();
+            c_tags_cleared_.in(counters_).increment();
         }
     }
 }
@@ -181,7 +182,7 @@ TaggedMemory::writeBytes(uint64_t addr, const void *src, uint64_t size)
         return;
     checkMapped(addr, size, true);
     clearTagsInRange(addr, size);
-    counters_.counter("mem.data_write_bytes").increment(size);
+    c_data_write_bytes_.in(counters_).increment(size);
     const uint8_t *p = static_cast<const uint8_t *>(src);
     uint64_t remaining = size;
     uint64_t cur = addr;
@@ -202,9 +203,7 @@ TaggedMemory::readBytes(uint64_t addr, void *dst, uint64_t size) const
     if (size == 0)
         return;
     checkMapped(addr, size, false);
-    counters_
-        .counter("mem.data_read_bytes")
-        .increment(size);
+    c_data_read_bytes_.in(counters_).increment(size);
     uint8_t *p = static_cast<uint8_t *>(dst);
     uint64_t remaining = size;
     uint64_t cur = addr;
@@ -265,7 +264,7 @@ TaggedMemory::fill(uint64_t addr, uint8_t byte, uint64_t size)
         return;
     checkMapped(addr, size, true);
     clearTagsInRange(addr, size);
-    counters_.counter("mem.data_write_bytes").increment(size);
+    c_data_write_bytes_.in(counters_).increment(size);
     uint64_t remaining = size;
     uint64_t cur = addr;
     while (remaining > 0) {
@@ -285,8 +284,11 @@ TaggedMemory::writeCap(uint64_t addr, const cap::Capability &capability)
         throw CapFault(FaultKind::Alignment,
                        "capability store must be 16-byte aligned");
     }
-    checkMapped(addr, kCapBytes, true);
-    const Pte *pte = pt_.lookup(addr);
+    // An aligned capability word never straddles a page: one PTE
+    // lookup serves the mapping check, the store-inhibit check and
+    // the CapDirty update.
+    Pte *pte = pt_.lookup(addr);
+    checkPte(pte, true);
     if (capability.tag() && pte->capStoreInhibit) {
         throw CapFault(FaultKind::CapStoreInhibit,
                        "tagged store to capability-store-inhibited page");
@@ -302,16 +304,18 @@ TaggedMemory::writeCap(uint64_t addr, const cap::Capability &capability)
     const unsigned g = static_cast<unsigned>(off >> kGranuleShift);
     if (capability.tag()) {
         page.setGranuleTag(g);
-        counters_.counter("mem.cap_writes").increment();
-        if (pt_.setCapDirty(addr))
-            counters_.counter("mem.capdirty_traps").increment();
+        c_cap_writes_.in(counters_).increment();
+        if (!pte->capDirty) {
+            pte->capDirty = true;
+            c_capdirty_traps_.in(counters_).increment();
+        }
         for (const CapStoreListener &l : cap_store_listeners_) {
             if (addr >= l.lo && addr < l.hi)
                 l.fn(addr);
         }
     } else {
         page.clearGranuleTag(g);
-        counters_.counter("mem.untagged_cap_writes").increment();
+        c_untagged_cap_writes_.in(counters_).increment();
     }
 }
 
@@ -323,7 +327,7 @@ TaggedMemory::readCap(uint64_t addr) const
                        "capability load must be 16-byte aligned");
     }
     checkMapped(addr, kCapBytes, false);
-    counters_.counter("mem.cap_reads").increment();
+    c_cap_reads_.in(counters_).increment();
     const Page *page = pageIfPresent(addr);
     if (!page)
         return cap::Capability{};
@@ -342,7 +346,7 @@ TaggedMemory::readCap(uint64_t addr) const
         load_barrier_(cap::Capability::decodeBase(lo, hi))) {
         tag = false;
         const_cast<TaggedMemory *>(this)->clearTagAt(addr);
-        counters_.counter("mem.load_barrier_strips").increment();
+        c_barrier_strips_.in(counters_).increment();
     }
     return cap::Capability::unpack(lo, hi, tag);
 }

@@ -478,6 +478,8 @@ class TaggedMemory
   private:
     Page &pageForWrite(uint64_t addr);
     void checkMapped(uint64_t addr, uint64_t size, bool write) const;
+    /** Fault unless @p pte is mapped with the access's protection. */
+    static void checkPte(const Pte *pte, bool write);
     void checkAccess(const cap::Capability &auth, uint64_t addr,
                      uint64_t size, uint16_t perm_needed) const;
     /** Clear tags of all granules overlapping [addr, addr+size). */
@@ -498,6 +500,19 @@ class TaggedMemory
     size_t soft_budget_ = 0; //!< resident-page soft cap; 0 = none
     /** mutable: read paths account traffic too. */
     mutable stats::CounterGroup counters_;
+    /** Per-op counter handles, resolved on first use. */
+    mutable stats::LazyCounter c_tags_cleared_{
+        "mem.tags_cleared_by_overwrite"};
+    mutable stats::LazyCounter c_data_write_bytes_{
+        "mem.data_write_bytes"};
+    mutable stats::LazyCounter c_data_read_bytes_{"mem.data_read_bytes"};
+    mutable stats::LazyCounter c_cap_writes_{"mem.cap_writes"};
+    mutable stats::LazyCounter c_capdirty_traps_{"mem.capdirty_traps"};
+    mutable stats::LazyCounter c_untagged_cap_writes_{
+        "mem.untagged_cap_writes"};
+    mutable stats::LazyCounter c_cap_reads_{"mem.cap_reads"};
+    mutable stats::LazyCounter c_barrier_strips_{
+        "mem.load_barrier_strips"};
     std::function<bool(uint64_t)> load_barrier_;
 };
 

@@ -69,7 +69,6 @@ ColorBackend::onAlloc(const cap::Capability &capability)
     ++e.allocs;
     ++e.liveAllocs;
     ++stats_.colorAssigns;
-    chunk_color_[capability.base()] = open_color_;
     const uint8_t color = open_color_;
     if (e.allocs >= config_.allocsPerColor) {
         e.state = ColorState::Sealed;
@@ -79,14 +78,14 @@ ColorBackend::onAlloc(const cap::Capability &capability)
 }
 
 alloc::FreeRouting
-ColorBackend::onFree(uint64_t chunk_addr, uint64_t chunk_size,
-                     uint64_t payload)
+ColorBackend::onFree(const cap::Capability &capability)
 {
-    (void)chunk_addr;
-    (void)chunk_size;
-    auto it = chunk_color_.find(payload);
-    if (it != chunk_color_.end()) {
-        ColorEntry &e = table_[it->second];
+    const uint8_t color = capability.color();
+    if (color != 0) {
+        CHERIVOKE_ASSERT(color <= pool_colors_,
+                         "(freed capability carries a color outside "
+                         "the pool)");
+        ColorEntry &e = table_[color];
         if (e.liveAllocs > 0)
             --e.liveAllocs;
         if (e.state == ColorState::Sealed && e.liveAllocs == 0) {
@@ -94,7 +93,6 @@ ColorBackend::onFree(uint64_t chunk_addr, uint64_t chunk_size,
             ++retired_;
             ++stats_.colorsRetired;
         }
-        chunk_color_.erase(it);
     }
     // Reuse stays blocked until the color recycles: the chunk
     // quarantines and is released by the recycling scan's epoch.

@@ -27,7 +27,6 @@
 #define CHERIVOKE_REVOKE_BACKENDS_COLOR_BACKEND_HH
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "revoke/backends/sweep_backend.hh"
@@ -44,8 +43,11 @@ class ColorBackend final : public SweepBackend
     const char *name() const override { return "color"; }
 
     cap::Capability onAlloc(const cap::Capability &capability) override;
-    alloc::FreeRouting onFree(uint64_t chunk_addr, uint64_t chunk_size,
-                              uint64_t payload) override;
+    /** Retire-side bookkeeping keyed by capability.color(): the
+     *  color travels in the freed capability itself, so no side
+     *  table maps chunks to colors. Color 0 (minted before this
+     *  backend observed the allocator) is skipped. */
+    alloc::FreeRouting onFree(const cap::Capability &capability) override;
 
     /** Retired colors reached the recycle threshold, the pool is
      *  exhausted with colors waiting to recycle, or the quarantine
@@ -94,8 +96,6 @@ class ColorBackend final : public SweepBackend
     std::deque<uint8_t> free_colors_;
     uint8_t open_color_ = 0; //!< 0 = none open
     unsigned retired_ = 0;
-    /** payload base -> color. Never iterated (determinism). */
-    std::unordered_map<uint64_t, uint8_t> chunk_color_;
 };
 
 } // namespace revoke

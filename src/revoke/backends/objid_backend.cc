@@ -11,7 +11,7 @@ ObjectIdBackend::onAlloc(const cap::Capability &capability)
 {
     const uint64_t id = next_id_++;
     ++stats_.idsAssigned;
-    live_[capability.base()] = id;
+    ++live_;
     // Stamp the inline tag: the low 24 bits of the ID live in the
     // chunk header's spare size-word bits, where the modelled
     // hardware check reads them on every dereference.
@@ -23,14 +23,11 @@ ObjectIdBackend::onAlloc(const cap::Capability &capability)
 }
 
 alloc::FreeRouting
-ObjectIdBackend::onFree(uint64_t chunk_addr, uint64_t chunk_size,
-                        uint64_t payload)
+ObjectIdBackend::onFree(const cap::Capability &capability)
 {
-    (void)chunk_addr;
-    (void)chunk_size;
-    auto it = live_.find(payload);
-    if (it != live_.end()) {
-        live_.erase(it);
+    (void)capability;
+    if (live_ > 0) {
+        --live_;
         ++retired_;
         ++stats_.idsRetired;
     }
@@ -75,8 +72,8 @@ ObjectIdBackend::step(EpochStats &epoch, size_t max_pages,
     // (live + retired), write back the survivors. All in one slice —
     // the table is tiny next to a page worklist.
     stats_.metadataBytes +=
-        (live_.size() + compacting_) * config_.tableEntryBytes +
-        live_.size() * config_.tableEntryBytes;
+        (live_ + compacting_) * config_.tableEntryBytes +
+        live_ * config_.tableEntryBytes;
     stats_.idTableEntriesCompacted += compacting_;
     retired_ -= compacting_;
     compacting_ = 0;

@@ -20,8 +20,6 @@
 #ifndef CHERIVOKE_REVOKE_BACKENDS_OBJID_BACKEND_HH
 #define CHERIVOKE_REVOKE_BACKENDS_OBJID_BACKEND_HH
 
-#include <unordered_map>
-
 #include "revoke/backends/backend.hh"
 
 namespace cherivoke {
@@ -36,8 +34,7 @@ class ObjectIdBackend final : public RevocationBackend
     const char *name() const override { return "objid"; }
 
     cap::Capability onAlloc(const cap::Capability &capability) override;
-    alloc::FreeRouting onFree(uint64_t chunk_addr, uint64_t chunk_size,
-                              uint64_t payload) override;
+    alloc::FreeRouting onFree(const cap::Capability &capability) override;
     void onPointerUse(uint64_t n) override;
 
     /** Enough retired IDs to warrant a table compaction? */
@@ -50,14 +47,16 @@ class ObjectIdBackend final : public RevocationBackend
 
     /** @name Introspection (tests, benches) */
     /// @{
-    uint64_t liveIds() const { return live_.size(); }
+    uint64_t liveIds() const { return live_; }
     uint64_t retiredIds() const { return retired_; }
     uint64_t nextId() const { return next_id_; }
     /// @}
 
   private:
-    /** payload base -> object ID. Never iterated (determinism). */
-    std::unordered_map<uint64_t, uint64_t> live_;
+    /** Live IDs: allocations minted since bind, less those freed.
+     *  Only the count matters — the table's modelled cost is its
+     *  size, and a free retires whichever ID its chunk carried. */
+    uint64_t live_ = 0;
     uint64_t next_id_ = 1; //!< 0 reserved: "no ID"
     uint64_t retired_ = 0; //!< retired since the last compaction
     uint64_t compacting_ = 0; //!< entries frozen for the open epoch

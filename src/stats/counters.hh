@@ -65,6 +65,33 @@ class CounterGroup
     std::vector<std::string> order_;
 };
 
+/**
+ * A hot-path handle on one named counter: resolved in its group on
+ * first use, then bumped through a cached pointer, so a per-op site
+ * pays no string construction or map lookup. Resolving lazily (not
+ * in the owner's constructor) keeps the counter's position in
+ * CounterGroup::names() exactly where a plain counter(name) call at
+ * the same site would have put it. Counter addresses are stable
+ * (map nodes), so the cached pointer never dangles.
+ */
+class LazyCounter
+{
+  public:
+    explicit LazyCounter(const char *name) : name_(name) {}
+
+    Counter &
+    in(CounterGroup &group)
+    {
+        if (!counter_)
+            counter_ = &group.counter(name_);
+        return *counter_;
+    }
+
+  private:
+    const char *name_;
+    Counter *counter_ = nullptr;
+};
+
 } // namespace stats
 } // namespace cherivoke
 

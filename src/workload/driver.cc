@@ -51,9 +51,23 @@ TraceReplayer::TraceReplayer(mem::AddressSpace &space,
     : space_(&space), alloc_(&allocator), engine_(engine),
       trace_(&trace)
 {
-    // Size the live-object table for the trace's churn up front so
-    // the mutator loop never pays a rehash.
-    objects_.reserve(trace.ops.size() / 4 + 16);
+    // Size the live-object table from the largest Malloc id. Ids are
+    // dense from 1 (synth.cc); a trace whose ids are so sparse that
+    // the table would dwarf the trace is rejected rather than
+    // silently allocating gigabytes.
+    uint64_t max_id = 0;
+    for (const TraceOp &op : trace.ops) {
+        if (op.kind == OpKind::Malloc)
+            max_id = std::max(max_id, op.id);
+    }
+    const uint64_t id_limit = 4 * trace.ops.size() + 4096;
+    if (max_id > id_limit)
+        fatal("trace allocation id %llu is too sparse for a %zu-op "
+              "trace (ids must be dense; limit %llu)",
+              static_cast<unsigned long long>(max_id),
+              trace.ops.size(),
+              static_cast<unsigned long long>(id_limit));
+    objects_.resize(max_id + 1);
     pump_ = [this](cache::Hierarchy *hierarchy) {
         engine_->maybeRevoke(hierarchy);
     };
@@ -77,7 +91,7 @@ TraceReplayer::trackPeaks()
     result_.peakFootprintBytes = std::max(
         result_.peakFootprintBytes, alloc_->footprintBytes());
     result_.peakLiveAllocs =
-        std::max<uint64_t>(result_.peakLiveAllocs, objects_.size());
+        std::max(result_.peakLiveAllocs, live_objects_);
 }
 
 // Pump the engine after an allocator operation: stop-the-world
@@ -117,62 +131,67 @@ TraceReplayer::step(cache::Hierarchy *hierarchy)
         // writes clear any stale tags left by a previous
         // occupant of recycled memory.
         memory.fill(c.base(), 0, alloc_->usableSize(c.base()));
-        objects_.emplace(op.id, c);
+        // A second Malloc of a live id keeps the first capability
+        // (the second allocation leaks, as it would in the program).
+        cap::Capability &slot = objects_[op.id];
+        if (!slot.tag()) {
+            slot = c;
+            ++live_objects_;
+        }
         ++result_.allocCalls;
         pumpEngine(hierarchy);
         break;
       }
       case OpKind::Free: {
-        auto it = objects_.find(op.id);
-        if (it == objects_.end())
+        const cap::Capability *obj = liveObject(op.id);
+        if (!obj)
             break;
-        result_.freedBytes += alloc_->usableSize(it->second.base());
-        alloc_->free(it->second);
-        objects_.erase(it);
+        result_.freedBytes += alloc_->usableSize(obj->base());
+        alloc_->free(*obj);
+        objects_[op.id] = cap::Capability{};
+        --live_objects_;
         ++result_.freeCalls;
         pumpEngine(hierarchy);
         break;
       }
       case OpKind::StorePtr: {
-        auto dst = objects_.find(op.dst);
-        auto src = objects_.find(op.src);
-        if (dst == objects_.end() || src == objects_.end())
+        const cap::Capability *dst = liveObject(op.dst);
+        const cap::Capability *src = liveObject(op.src);
+        if (!dst || !src)
             break;
-        const uint64_t usable =
-            alloc_->usableSize(dst->second.base());
+        const uint64_t usable = alloc_->usableSize(dst->base());
         if (usable < kCapBytes)
             break;
         const uint64_t offset =
             std::min<uint64_t>(op.offset, usable - kCapBytes) &
             ~(kCapBytes - 1);
-        memory.writeCap(dst->second.base() + offset, src->second);
+        memory.writeCap(dst->base() + offset, *src);
         ++result_.ptrStores;
         deref_(1);
         break;
       }
       case OpKind::StoreData: {
-        auto dst = objects_.find(op.dst);
-        if (dst == objects_.end())
+        const cap::Capability *dst = liveObject(op.dst);
+        if (!dst)
             break;
-        const uint64_t usable =
-            alloc_->usableSize(dst->second.base());
+        const uint64_t usable = alloc_->usableSize(dst->base());
         if (usable < 8)
             break;
         const uint64_t offset =
             std::min<uint64_t>(op.offset, usable - 8) & ~7ULL;
-        memory.storeU64(dst->second, dst->second.base() + offset,
+        memory.storeU64(*dst, dst->base() + offset,
                         0x5a5a5a5a5a5a5a5aULL);
         deref_(1);
         break;
       }
       case OpKind::RootPtr: {
-        auto src = objects_.find(op.src);
-        if (src == objects_.end())
+        const cap::Capability *src = liveObject(op.src);
+        if (!src)
             break;
         const uint64_t slots = space_->globals().size / kCapBytes;
         const uint64_t slot = op.offset % slots;
         memory.writeCap(space_->globals().base + slot * kCapBytes,
-                        src->second);
+                        *src);
         deref_(1);
         break;
       }

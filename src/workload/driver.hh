@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "alloc/cherivoke_alloc.hh"
@@ -125,7 +124,7 @@ class TraceReplayer
     size_t opsTotal() const { return trace_->ops.size(); }
 
     /** Currently live (not yet freed) trace allocations. */
-    uint64_t liveObjects() const { return objects_.size(); }
+    uint64_t liveObjects() const { return live_objects_; }
 
     /** Apply the next op; must not be called once done(). */
     void step(cache::Hierarchy *hierarchy = nullptr);
@@ -170,6 +169,15 @@ class TraceReplayer
   private:
     void pumpEngine(cache::Hierarchy *hierarchy);
     void trackPeaks();
+    /** The live capability of trace id @p id, or nullptr when the
+     *  id is unknown or already freed. */
+    const cap::Capability *
+    liveObject(uint64_t id) const
+    {
+        if (id >= objects_.size() || !objects_[id].tag())
+            return nullptr;
+        return &objects_[id];
+    }
 
     mem::AddressSpace *space_;
     alloc::CherivokeAllocator *alloc_;
@@ -180,11 +188,13 @@ class TraceReplayer
     LifecycleFn lifecycle_;
     DerefFn deref_;
 
-    /** trace id -> cap. Hash map, never iterated: the mutator pays
-     *  O(1) per op where the former ordered map paid O(log n) at
-     *  millions of live objects, and no statistic can depend on
-     *  iteration order. */
-    std::unordered_map<uint64_t, cap::Capability> objects_;
+    /** Live-object table indexed by trace id: slot i holds id i's
+     *  capability while it is live and an untagged null capability
+     *  otherwise (malloc only returns tagged capabilities). Trace
+     *  ids are dense from 1, so the table is sized once from the
+     *  largest Malloc id and an op costs one indexed load. */
+    std::vector<cap::Capability> objects_;
+    uint64_t live_objects_ = 0; //!< tagged slots in objects_
     DriverResult result_;
     double page_density_acc_ = 0;
     double line_density_acc_ = 0;

@@ -222,6 +222,75 @@ TEST(ColorBackend, RecyclingScanRevokesDanglers)
     EXPECT_FALSE(space.memory().readCap(mem::kGlobalsBase).tag());
 }
 
+TEST(ColorBackend, ColorRetiresWhenCohortsLastCapabilityFrees)
+{
+    BackendConfig bcfg;
+    bcfg.colors = 4;
+    bcfg.allocsPerColor = 3;
+    mem::AddressSpace space;
+    CherivokeAllocator heap(space, tinyHeap());
+    RevocationEngine engine(heap, space,
+                            backendEngine(BackendKind::Color, bcfg));
+    auto *backend = dynamic_cast<revoke::ColorBackend *>(
+        &engine.domainBackend(0));
+    ASSERT_NE(backend, nullptr);
+
+    // Three allocations seal color 1; the fourth opens color 2.
+    const Capability a = heap.malloc(64);
+    const Capability b = heap.malloc(96);
+    const Capability c = heap.malloc(128);
+    const Capability d = heap.malloc(64);
+    ASSERT_EQ(c.color(), 1u);
+    ASSERT_EQ(d.color(), 2u);
+
+    // The color comes back with the freed capability: freeing all
+    // but the last member of the cohort retires nothing.
+    heap.free(b);
+    heap.free(a);
+    EXPECT_EQ(backend->retiredColors(), 0u);
+    heap.free(c);
+    EXPECT_EQ(backend->retiredColors(), 1u);
+    EXPECT_EQ(engine.domainBackendStats(0).colorsRetired, 1u);
+    // An open (unsealed) cohort never retires, even when empty.
+    heap.free(d);
+    EXPECT_EQ(backend->retiredColors(), 1u);
+}
+
+TEST(ColorBackend, UncoloredFreeLeavesColorTableUntouched)
+{
+    BackendConfig bcfg;
+    bcfg.colors = 4;
+    bcfg.allocsPerColor = 2;
+    mem::AddressSpace space;
+    CherivokeAllocator heap(space, tinyHeap());
+    // Allocated before any backend observes the heap: color 0.
+    const Capability plain = heap.malloc(64);
+    ASSERT_EQ(plain.color(), 0u);
+    RevocationEngine engine(heap, space,
+                            backendEngine(BackendKind::Color, bcfg));
+    auto *backend = dynamic_cast<revoke::ColorBackend *>(
+        &engine.domainBackend(0));
+    ASSERT_NE(backend, nullptr);
+
+    const Capability x = heap.malloc(64);
+    const Capability y = heap.malloc(64);
+    ASSERT_EQ(x.color(), 1u);
+    ASSERT_EQ(y.color(), 1u); // color 1 sealed with two live
+
+    heap.free(plain);
+    EXPECT_EQ(backend->retiredColors(), 0u);
+    EXPECT_EQ(backend->freeColors(), 3u);
+    EXPECT_EQ(backend->generation(1), 0u);
+    // Color 1's live count was not decremented by the uncolored
+    // free: it still takes both of its own frees to retire.
+    heap.free(x);
+    EXPECT_EQ(backend->retiredColors(), 0u);
+    heap.free(y);
+    EXPECT_EQ(backend->retiredColors(), 1u);
+    // The uncolored chunk still quarantines like any other free.
+    EXPECT_GT(heap.quarantinedBytes(), 0u);
+}
+
 TEST(ObjectIdBackend, FreesReleaseImmediatelyAndCompact)
 {
     BackendConfig bcfg;
@@ -261,6 +330,53 @@ TEST(ObjectIdBackend, FreesReleaseImmediatelyAndCompact)
     EXPECT_EQ(backend->retiredIds(), 0u);
     EXPECT_EQ(backend->liveIds(), 2u);
     EXPECT_GT(stats.metadataBytes, 0u);
+}
+
+TEST(ObjectIdBackend, LiveIdsTrackAllocFreeAndCompaction)
+{
+    BackendConfig bcfg;
+    bcfg.idCompactRetired = 3;
+    mem::AddressSpace space;
+    CherivokeAllocator heap(space, tinyHeap());
+    RevocationEngine engine(
+        heap, space, backendEngine(BackendKind::ObjectId, bcfg));
+    auto *backend = dynamic_cast<revoke::ObjectIdBackend *>(
+        &engine.domainBackend(0));
+    ASSERT_NE(backend, nullptr);
+
+    std::vector<Capability> caps;
+    for (int i = 0; i < 5; ++i)
+        caps.push_back(heap.malloc(48));
+    EXPECT_EQ(backend->liveIds(), 5u);
+    heap.free(caps[1]);
+    heap.free(caps[3]);
+    EXPECT_EQ(backend->liveIds(), 3u);
+    // Released memory is reused at once and mints a fresh ID.
+    caps.push_back(heap.malloc(48));
+    EXPECT_EQ(backend->liveIds(), 4u);
+    EXPECT_EQ(backend->nextId(), 7u);
+    heap.free(caps[0]);
+    EXPECT_EQ(backend->liveIds(), 3u);
+    EXPECT_EQ(backend->retiredIds(), 3u);
+
+    // Compaction reads live + retired entries and writes back the
+    // live ones; it never changes the live count.
+    const uint64_t before = engine.domainBackendStats(0).metadataBytes;
+    ASSERT_TRUE(engine.quarantinePressure());
+    engine.maybeRevoke();
+    const BackendStats &stats = engine.domainBackendStats(0);
+    EXPECT_EQ(stats.idCompactions, 1u);
+    EXPECT_EQ(stats.metadataBytes - before,
+              (3u + 3u) * bcfg.tableEntryBytes +
+                  3u * bcfg.tableEntryBytes);
+    EXPECT_EQ(backend->liveIds(), 3u);
+    EXPECT_EQ(backend->retiredIds(), 0u);
+
+    heap.free(caps[2]);
+    heap.free(caps[4]);
+    heap.free(caps[5]);
+    EXPECT_EQ(backend->liveIds(), 0u);
+    EXPECT_EQ(stats.idsRetired, 6u);
 }
 
 TEST(ObjectIdBackend, PointerUseBillsIdChecks)

@@ -101,6 +101,70 @@ TEST(PageTable, RemapUpdatesProtection)
     EXPECT_EQ(pt.lookup(0x60000)->prot, ProtRead | ProtWrite);
 }
 
+TEST(PageTable, MapUnmapRemapPageCount)
+{
+    PageTable pt;
+    pt.map(0x100000, 4 * kPageBytes, ProtRead | ProtWrite);
+    EXPECT_EQ(pt.pageCount(), 4u);
+    // Re-mapping mapped pages updates them in place.
+    pt.map(0x100000 + kPageBytes, 2 * kPageBytes, ProtRead);
+    EXPECT_EQ(pt.pageCount(), 4u);
+    pt.setCapDirty(0x100000 + 3 * kPageBytes);
+    pt.map(0x100000 + 3 * kPageBytes, kPageBytes, ProtRead);
+    EXPECT_TRUE(pt.lookup(0x100000 + 3 * kPageBytes)->capDirty)
+        << "remap keeps CapDirty";
+    pt.unmap(0x100000 + 3 * kPageBytes, kPageBytes);
+    EXPECT_EQ(pt.pageCount(), 3u);
+    // Unmapping an unmapped page (or one in a never-touched leaf)
+    // is a no-op.
+    pt.unmap(0x100000 + 3 * kPageBytes, kPageBytes);
+    pt.unmap(uint64_t{5} << 30, kPageBytes);
+    EXPECT_EQ(pt.pageCount(), 3u);
+    // A page mapped again after unmap starts clean.
+    pt.map(0x100000 + 3 * kPageBytes, kPageBytes, ProtRead);
+    EXPECT_EQ(pt.pageCount(), 4u);
+    EXPECT_FALSE(pt.lookup(0x100000 + 3 * kPageBytes)->capDirty);
+    EXPECT_FALSE(pt.lookup(0x100000 + 3 * kPageBytes)->capStoreInhibit);
+}
+
+TEST(PageTable, LookupBeyondVirtualAddressWidthIsNull)
+{
+    PageTable pt;
+    const uint64_t top = uint64_t{1} << PageTable::kVaBits;
+    pt.map(top - kPageBytes, kPageBytes, ProtRead);
+    EXPECT_TRUE(pt.isMapped(top - 1));
+    EXPECT_EQ(pt.lookup(top), nullptr);
+    EXPECT_EQ(pt.lookup(~uint64_t{0}), nullptr);
+    EXPECT_THROW(pt.map(top, kPageBytes, ProtRead), FatalError);
+}
+
+TEST(PageTable, EnumerationInAddressOrderAcrossLeaves)
+{
+    PageTable pt;
+    const uint64_t leaf_span = uint64_t{PageTable::kLeafEntries}
+                               << kPageShift;
+    // Mapped high leaf first, then pages straddling a leaf boundary.
+    const uint64_t high = 7 * leaf_span + 5 * kPageBytes;
+    pt.map(high, kPageBytes, ProtRead | ProtWrite);
+    const uint64_t edge = leaf_span - 2 * kPageBytes;
+    pt.map(edge, 4 * kPageBytes, ProtRead | ProtWrite);
+    pt.setCapDirty(high);
+    pt.setCapDirty(edge + 3 * kPageBytes);
+    pt.setCapDirty(edge);
+
+    const std::vector<uint64_t> mapped = pt.mappedPages();
+    const std::vector<uint64_t> want_mapped = {
+        edge, edge + kPageBytes, leaf_span, leaf_span + kPageBytes,
+        high};
+    EXPECT_EQ(mapped, want_mapped);
+    const std::vector<uint64_t> dirty = pt.capDirtyPages();
+    const std::vector<uint64_t> want_dirty = {edge,
+                                              leaf_span + kPageBytes,
+                                              high};
+    EXPECT_EQ(dirty, want_dirty);
+    EXPECT_EQ(pt.capDirtyCount(), 3u);
+}
+
 } // namespace
 } // namespace mem
 } // namespace cherivoke

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "support/logging.hh"
@@ -125,6 +126,11 @@ class SynthDriverTest : public ::testing::Test
         cfg.seed = 7;
         const Trace trace = synthesize(profileFor(name), cfg);
 
+        // A second run replaces the previous one: tear it down
+        // engine first, since the engine detaches from its allocator
+        // on destruction.
+        revoker.reset();
+        allocator.reset();
         space = std::make_unique<mem::AddressSpace>();
         alloc::CherivokeConfig acfg;
         acfg.minQuarantineBytes = 64 * KiB;
@@ -204,6 +210,111 @@ TEST_F(SynthDriverTest, HeapStaysValidUnderWorkload)
 {
     runProfile("dealII", 0.3);
     EXPECT_NO_THROW(allocator->dl().validateHeap());
+}
+
+// ---------------------------------------------------------------
+// TraceReplayer's live-object table
+// ---------------------------------------------------------------
+
+/** Replays a hand-written trace with no revocation engine. */
+class ReplayTableTest : public ::testing::Test
+{
+  protected:
+    TraceReplayer &
+    replay(const std::vector<TraceOp> &ops)
+    {
+        trace.ops = ops;
+        replayer = std::make_unique<TraceReplayer>(space, allocator,
+                                                   nullptr, trace);
+        while (!replayer->done())
+            replayer->step();
+        return *replayer;
+    }
+
+    cap::Capability
+    rootSlot(uint64_t slot) const
+    {
+        return space.memory().readCap(space.globals().base +
+                                      slot * kCapBytes);
+    }
+
+    mem::AddressSpace space;
+    alloc::CherivokeAllocator allocator{space};
+    Trace trace;
+    std::unique_ptr<TraceReplayer> replayer;
+};
+
+TEST_F(ReplayTableTest, DuplicateLiveMallocKeepsFirstCapability)
+{
+    TraceReplayer &r = replay({
+        {.kind = OpKind::Malloc, .id = 1, .size = 64},
+        {.kind = OpKind::RootPtr, .src = 1, .offset = 0},
+        {.kind = OpKind::Malloc, .id = 1, .size = 64},
+        {.kind = OpKind::RootPtr, .src = 1, .offset = 1},
+    });
+    const cap::Capability first = rootSlot(0);
+    ASSERT_TRUE(first.tag());
+    EXPECT_EQ(rootSlot(1), first);
+    EXPECT_EQ(r.partial().allocCalls, 2u);
+    EXPECT_EQ(r.liveObjects(), 1u);
+    EXPECT_EQ(r.partial().peakLiveAllocs, 1u);
+    // The second allocation leaked: both chunks are still live.
+    EXPECT_GE(allocator.liveBytes(), 2 * 64u);
+}
+
+TEST_F(ReplayTableTest, OpsOnDeadOrUnknownIdsAreSkipped)
+{
+    TraceReplayer &r = replay({
+        {.kind = OpKind::Malloc, .id = 1, .size = 64},
+        {.kind = OpKind::Malloc, .id = 2, .size = 64},
+        {.kind = OpKind::Free, .id = 1},
+        // dead: no double free reaches the heap
+        {.kind = OpKind::Free, .id = 1},
+        // unknown, beyond the table
+        {.kind = OpKind::Free, .id = 9},
+        {.kind = OpKind::StorePtr, .src = 2, .dst = 1}, // dead dst
+        {.kind = OpKind::StorePtr, .src = 1, .dst = 2}, // dead src
+        {.kind = OpKind::StorePtr, .src = 40, .dst = 2}, // unknown
+        {.kind = OpKind::StoreData, .dst = 1},          // dead dst
+        {.kind = OpKind::RootPtr, .src = 1, .offset = 0}, // dead
+        {.kind = OpKind::RootPtr, .src = 77, .offset = 1}, // unknown
+    });
+    EXPECT_EQ(r.partial().freeCalls, 1u);
+    EXPECT_EQ(r.partial().ptrStores, 0u);
+    EXPECT_EQ(r.liveObjects(), 1u);
+    EXPECT_EQ(r.partial().peakLiveAllocs, 2u);
+    EXPECT_FALSE(rootSlot(0).tag());
+    EXPECT_FALSE(rootSlot(1).tag());
+}
+
+TEST_F(ReplayTableTest, IdZeroIsAnOrdinaryId)
+{
+    TraceReplayer &r = replay({
+        {.kind = OpKind::Malloc, .id = 0, .size = 64},
+        {.kind = OpKind::StorePtr, .src = 0, .dst = 0, .offset = 16},
+        {.kind = OpKind::RootPtr, .src = 0, .offset = 2},
+        {.kind = OpKind::Free, .id = 0},
+    });
+    EXPECT_EQ(r.partial().allocCalls, 1u);
+    EXPECT_EQ(r.partial().ptrStores, 1u);
+    EXPECT_EQ(r.partial().freeCalls, 1u);
+    EXPECT_EQ(r.liveObjects(), 0u);
+    EXPECT_TRUE(rootSlot(2).tag());
+}
+
+TEST_F(ReplayTableTest, SparseIdsAreRejected)
+{
+    // The table is sized from the largest Malloc id: up to
+    // 4 * ops + 4096 is accepted, anything beyond fails closed.
+    trace.ops = {{.kind = OpKind::Malloc, .id = 4 * 1 + 4096}};
+    EXPECT_NO_THROW(TraceReplayer(space, allocator, nullptr, trace));
+    trace.ops = {{.kind = OpKind::Malloc, .id = 4 * 1 + 4097}};
+    EXPECT_THROW(TraceReplayer(space, allocator, nullptr, trace),
+                 FatalError);
+    trace.ops = {{.kind = OpKind::Malloc, .id = 1},
+                 {.kind = OpKind::Malloc, .id = uint64_t{1} << 40}};
+    EXPECT_THROW(TraceReplayer(space, allocator, nullptr, trace),
+                 FatalError);
 }
 
 } // namespace
