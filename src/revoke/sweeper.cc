@@ -122,6 +122,14 @@ Sweeper::sweep(mem::AddressSpace &space,
     return stats;
 }
 
+unsigned
+Sweeper::threadsFor(size_t pages) const
+{
+    const size_t per = std::max<size_t>(options_.minPagesPerThread, 1);
+    return static_cast<unsigned>(std::clamp<size_t>(
+        pages / per, 1, std::max(options_.threads, 1u)));
+}
+
 SweepStats
 Sweeper::sweepPages(mem::AddressSpace &space,
                     const alloc::ShadowMap &shadow,
@@ -131,8 +139,9 @@ Sweeper::sweepPages(mem::AddressSpace &space,
 {
     CHERIVOKE_ASSERT(lo <= hi && hi <= pages.size());
     const size_t count = hi - lo;
+    const unsigned n = threadsFor(count);
 
-    if (options_.threads <= 1 || count < 2) {
+    if (n <= 1) {
         if (hierarchy) {
             cache::HierarchySink sink(*hierarchy);
             return sweepPageRange(space, shadow, pages, lo, hi,
@@ -148,8 +157,6 @@ Sweeper::sweepPages(mem::AddressSpace &space,
     // co-locating a region keeps every such read deterministic
     // (either the worker's own sequential progress or a page no
     // worker mutates).
-    const unsigned n = static_cast<unsigned>(
-        std::min<size_t>(options_.threads, count));
     std::vector<size_t> bounds;
     bounds.push_back(lo);
     const size_t per = (count + n - 1) / n;

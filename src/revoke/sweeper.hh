@@ -52,6 +52,13 @@ struct SweepOptions
     SweepKernel kernel = SweepKernel::Vector;
     /** Sweep threads (1 = the paper's measured configuration). */
     unsigned threads = 1;
+    /** Fewest pages worth a thread of their own. Starting a thread
+     *  costs about as much host time as sweeping 64 pages, and far
+     *  more on a loaded host, so a sliced policy's 64-page slice
+     *  runs on the calling thread while whole-worklist sweeps still
+     *  split. Host time only: no statistic depends on it. Tests set
+     *  1 to split their small heaps across every thread. */
+    size_t minPagesPerThread = 64;
 };
 
 /** Statistics from one revocation sweep. */
@@ -118,11 +125,15 @@ class Sweeper
     std::vector<uint64_t> buildWorklist(mem::AddressSpace &space,
                                         SweepStats &stats) const;
 
+    /** Workers a sweep of @p pages uses: options().threads, fewer
+     *  when the pages would not give each minPagesPerThread. */
+    unsigned threadsFor(size_t pages) const;
+
     /**
      * Sweep the index range [lo, hi) of @p pages across
-     * options().threads workers (one increment of an epoch). Traffic
-     * is accounted into @p hierarchy with totals independent of the
-     * thread count.
+     * threadsFor(hi - lo) workers (one increment of an epoch).
+     * Traffic is accounted into @p hierarchy with totals independent
+     * of the thread count.
      */
     SweepStats sweepPages(mem::AddressSpace &space,
                           const alloc::ShadowMap &shadow,

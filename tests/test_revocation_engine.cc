@@ -90,6 +90,8 @@ runTrace(unsigned threads, PolicyKind policy,
     EngineConfig ecfg;
     ecfg.policy = policy;
     ecfg.sweep.threads = threads;
+    // Split even the small test heaps' sweeps across every thread.
+    ecfg.sweep.minPagesPerThread = 1;
     ecfg.sweep.useCloadTags = true; // exercise the CLoadTags replay
     RevocationEngine engine(allocator, space, ecfg);
     cache::Hierarchy hierarchy;
@@ -142,6 +144,35 @@ TEST(ParallelSweepEquality, ThreadedTrafficMatchesSerial)
     }
 }
 
+/**
+ * Sliced policies sweep an epoch as many small increments, each
+ * split across the sweep threads: the totals still equal the serial
+ * run's.
+ */
+TEST(ParallelSweepEquality, SlicedThreadedSweepMatchesSerial)
+{
+    workload::SynthConfig synth_cfg;
+    synth_cfg.scale = 1.0 / 64;
+    synth_cfg.durationSec = 0.5;
+    synth_cfg.seed = 12;
+    const workload::Trace trace = workload::synthesize(
+        workload::profileFor("xalancbmk"), synth_cfg);
+
+    const TraceRun serial =
+        runTrace(1, PolicyKind::Incremental, trace);
+    ASSERT_GT(serial.epochs, 0u);
+    ASSERT_GT(serial.sweep.capsRevoked, 0u);
+    for (const unsigned threads : {2u, 4u}) {
+        const TraceRun par =
+            runTrace(threads, PolicyKind::Incremental, trace);
+        EXPECT_EQ(par.epochs, serial.epochs) << threads;
+        EXPECT_TRUE(par.sweep == serial.sweep)
+            << "sweep stats diverged at threads=" << threads;
+        EXPECT_EQ(par.dramReads, serial.dramReads) << threads;
+        EXPECT_EQ(par.offCoreLines, serial.offCoreLines) << threads;
+    }
+}
+
 TEST(ParallelSweepEquality, ThreadedSweepMatchesSerialOnOneImage)
 {
     // Direct sweeper-level check with traffic modelling on.
@@ -153,6 +184,7 @@ TEST(ParallelSweepEquality, ThreadedSweepMatchesSerialOnOneImage)
         heap.prepareSweep();
         SweepOptions opts;
         opts.threads = threads;
+        opts.minPagesPerThread = 1; // a 63-page worklist
         opts.useCloadTags = true;
         Sweeper sweeper(opts);
         cache::Hierarchy hierarchy;

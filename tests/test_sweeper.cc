@@ -284,6 +284,7 @@ TEST_F(SweeperTest, ParallelSweepMatchesSerial)
     // parallel and verify the semantic postcondition directly.
     SweepOptions opts;
     opts.threads = 4;
+    opts.minPagesPerThread = 1; // a 2-page worklist
     Sweeper sweeper(opts);
     sweeper.sweep(space, alloc.shadowMap());
 
@@ -294,6 +295,26 @@ TEST_F(SweeperTest, ParallelSweepMatchesSerial)
         EXPECT_EQ(c.tag(), !dangling) << "slot " << s;
     }
     alloc.finishSweep();
+}
+
+TEST(SweeperThreads, SmallSweepsStayOnTheCallingThread)
+{
+    SweepOptions opts;
+    opts.threads = 4;
+    Sweeper sweeper(opts);
+    ASSERT_EQ(opts.minPagesPerThread, 64u);
+    EXPECT_EQ(sweeper.threadsFor(0), 1u);
+    EXPECT_EQ(sweeper.threadsFor(64), 1u) << "a sliced policy's slice";
+    EXPECT_EQ(sweeper.threadsFor(127), 1u);
+    EXPECT_EQ(sweeper.threadsFor(128), 2u);
+    EXPECT_EQ(sweeper.threadsFor(200), 3u);
+    EXPECT_EQ(sweeper.threadsFor(100000), 4u) << "capped at threads";
+
+    sweeper.options().minPagesPerThread = 1;
+    EXPECT_EQ(sweeper.threadsFor(2), 2u);
+    EXPECT_EQ(sweeper.threadsFor(9), 4u);
+    sweeper.options().threads = 1;
+    EXPECT_EQ(sweeper.threadsFor(100000), 1u);
 }
 
 TEST_F(SweeperTest, EngineRunsEpochsAutomatically)
