@@ -1,5 +1,8 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+#include <numeric>
+
 #include "support/bitops.hh"
 #include "support/logging.hh"
 
@@ -7,7 +10,7 @@ namespace cherivoke {
 namespace cache {
 
 Cache::Cache(const CacheGeometry &geom)
-    : geom_(geom)
+    : geom_(geom), ways_(geom.ways)
 {
     CHERIVOKE_ASSERT(isPowerOf2(geom_.lineBytes));
     CHERIVOKE_ASSERT(geom_.ways > 0);
@@ -17,19 +20,14 @@ Cache::Cache(const CacheGeometry &geom)
     const uint64_t num_sets = geom_.numSets();
     CHERIVOKE_ASSERT(isPowerOf2(num_sets),
                      "(set count must be a power of two)");
-    sets_.assign(num_sets, std::vector<Way>(geom_.ways));
-}
-
-uint64_t
-Cache::setIndex(uint64_t line_addr) const
-{
-    return (line_addr / geom_.lineBytes) & (geom_.numSets() - 1);
-}
-
-uint64_t
-Cache::tagOf(uint64_t line_addr) const
-{
-    return line_addr / geom_.lineBytes / geom_.numSets();
+    lineShift_ = log2Ceil(geom_.lineBytes);
+    tagShift_ = lineShift_ + log2Ceil(num_sets);
+    // The entry encoding spends one bit of the tag on the dirty flag.
+    CHERIVOKE_ASSERT(tagShift_ > 0,
+                     "(line size * set count must be at least 2)");
+    setMask_ = num_sets - 1;
+    lines_.assign(num_sets * ways_, 0);
+    fill_.assign(num_sets, 0);
 }
 
 LineAccess
@@ -37,55 +35,50 @@ Cache::access(uint64_t line_addr, bool write)
 {
     CHERIVOKE_ASSERT(isAligned(line_addr, geom_.lineBytes),
                      "(access must be line aligned)");
-    auto &set = sets_[setIndex(line_addr)];
-    const uint64_t tag = tagOf(line_addr);
+    const uint64_t set = setIndex(line_addr);
+    uint64_t *const entries = &lines_[set * ways_];
+    unsigned &fill = fill_[set];
+    const uint64_t key = tagOf(line_addr) << 1;
     LineAccess result;
 
-    for (auto &way : set) {
-        if (way.valid && way.tag == tag) {
-            way.lru = ++lruClock_;
-            way.dirty |= write;
+    for (unsigned i = 0; i < fill; ++i) {
+        if ((entries[i] & ~uint64_t{1}) == key) {
+            const uint64_t entry = entries[i] | write;
+            std::copy_backward(entries, entries + i, entries + i + 1);
+            entries[0] = entry;
             ++hits_;
             result.hit = true;
             return result;
         }
     }
 
-    // Miss: pick the LRU victim (or any invalid way).
+    // Miss: a full set evicts its least recently used (last) entry.
     ++misses_;
-    Way *victim = &set[0];
-    for (auto &way : set) {
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (way.lru < victim->lru)
-            victim = &way;
-    }
-    if (victim->valid) {
+    if (fill == ways_) {
+        const uint64_t victim = entries[fill - 1];
         result.evictedValid = true;
         result.victimLine =
-            (victim->tag * geom_.numSets() + setIndex(line_addr)) *
-            geom_.lineBytes;
-        if (victim->dirty) {
+            ((victim >> 1) << tagShift_) | (set << lineShift_);
+        if (victim & 1) {
             result.evictedDirty = true;
             ++writebacks_;
         }
+    } else {
+        ++fill;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = write;
-    victim->lru = ++lruClock_;
+    std::copy_backward(entries, entries + fill - 1, entries + fill);
+    entries[0] = key | write;
     return result;
 }
 
 bool
 Cache::probe(uint64_t line_addr) const
 {
-    const auto &set = sets_[setIndex(line_addr)];
-    const uint64_t tag = tagOf(line_addr);
-    for (const auto &way : set) {
-        if (way.valid && way.tag == tag)
+    const uint64_t set = setIndex(line_addr);
+    const uint64_t *const entries = &lines_[set * ways_];
+    const uint64_t key = tagOf(line_addr) << 1;
+    for (unsigned i = 0; i < fill_[set]; ++i) {
+        if ((entries[i] & ~uint64_t{1}) == key)
             return true;
     }
     return false;
@@ -94,13 +87,15 @@ Cache::probe(uint64_t line_addr) const
 bool
 Cache::invalidate(uint64_t line_addr)
 {
-    auto &set = sets_[setIndex(line_addr)];
-    const uint64_t tag = tagOf(line_addr);
-    for (auto &way : set) {
-        if (way.valid && way.tag == tag) {
-            const bool was_dirty = way.dirty;
-            way.valid = false;
-            way.dirty = false;
+    const uint64_t set = setIndex(line_addr);
+    uint64_t *const entries = &lines_[set * ways_];
+    unsigned &fill = fill_[set];
+    const uint64_t key = tagOf(line_addr) << 1;
+    for (unsigned i = 0; i < fill; ++i) {
+        if ((entries[i] & ~uint64_t{1}) == key) {
+            const bool was_dirty = entries[i] & 1;
+            std::copy(entries + i + 1, entries + fill, entries + i);
+            --fill;
             return was_dirty;
         }
     }
@@ -110,23 +105,14 @@ Cache::invalidate(uint64_t line_addr)
 void
 Cache::reset()
 {
-    for (auto &set : sets_) {
-        for (auto &way : set)
-            way = Way{};
-    }
-    lruClock_ = 0;
+    std::fill(fill_.begin(), fill_.end(), 0u);
     hits_ = misses_ = writebacks_ = 0;
 }
 
 uint64_t
 Cache::validLines() const
 {
-    uint64_t n = 0;
-    for (const auto &set : sets_) {
-        for (const auto &way : set)
-            n += way.valid ? 1 : 0;
-    }
-    return n;
+    return std::accumulate(fill_.begin(), fill_.end(), uint64_t{0});
 }
 
 } // namespace cache

@@ -1,7 +1,8 @@
 /**
  * @file
  * A set-associative cache performance model with LRU replacement and
- * per-line dirty bits.
+ * per-line dirty bits. Each set is a run of a flat array kept in
+ * recency order, so LRU needs no clock: the victim is the last entry.
  *
  * This models cache *state*, not contents: functional data lives in
  * mem::TaggedMemory; the hierarchy only decides which accesses travel
@@ -77,20 +78,26 @@ class Cache
     uint64_t validLines() const;
 
   private:
-    struct Way
+    uint64_t setIndex(uint64_t line_addr) const
     {
-        uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        uint64_t lru = 0; //!< larger = more recently used
-    };
-
-    uint64_t setIndex(uint64_t line_addr) const;
-    uint64_t tagOf(uint64_t line_addr) const;
+        return (line_addr >> lineShift_) & setMask_;
+    }
+    uint64_t tagOf(uint64_t line_addr) const
+    {
+        return line_addr >> tagShift_;
+    }
 
     CacheGeometry geom_;
-    std::vector<std::vector<Way>> sets_;
-    uint64_t lruClock_ = 0;
+    unsigned ways_;
+    unsigned lineShift_; //!< log2(line size)
+    unsigned tagShift_;  //!< log2(line size * set count)
+    uint64_t setMask_;   //!< set count - 1
+    /**
+     * Set s owns lines_[s * ways_, s * ways_ + fill_[s]): entries
+     * `(tag << 1) | dirty`, most recently used first.
+     */
+    std::vector<uint64_t> lines_;
+    std::vector<unsigned> fill_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t writebacks_ = 0;

@@ -51,6 +51,10 @@ buildFrozenWorklist(const mem::TaggedMemory &memory,
 BackgroundSweeper::BackgroundSweeper()
 {
     worker_ = std::thread([this] { workerMain(); });
+    // Return only once the worker waits on job_cv_, so a watchdog
+    // armed for the first dispatch never times the thread's start.
+    std::unique_lock<std::mutex> lock(mutex_);
+    progress_cv_.wait(lock, [this] { return worker_ready_; });
 }
 
 BackgroundSweeper::~BackgroundSweeper()
@@ -152,6 +156,8 @@ void
 BackgroundSweeper::workerMain()
 {
     std::unique_lock<std::mutex> lock(mutex_);
+    worker_ready_ = true;
+    progress_cv_.notify_all();
     while (true) {
         job_cv_.wait(lock,
                      [this] { return shutdown_ || job_pending_; });

@@ -194,6 +194,7 @@ class BackgroundSweeper
     // Job state (mutex_-guarded; watermark/heartbeat also atomic
     // for lock-free observation from the rendezvous).
     State state_ = State::Idle;
+    bool worker_ready_ = false; //!< workerMain started; parks on job_cv_
     bool job_pending_ = false;
     bool cancel_requested_ = false;
     bool shutdown_ = false;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "cache/dram.hh"
 #include "cache/hierarchy.hh"
@@ -105,6 +108,211 @@ TEST(Cache, ResetClearsStateAndCounters)
     EXPECT_EQ(c.validLines(), 0u);
     EXPECT_EQ(c.misses(), 0u);
     EXPECT_FALSE(c.probe(0x40));
+}
+
+/**
+ * Reference model for the differential test: the per-way LRU-clock
+ * cache that the flat recency-ordered Cache replaced. Each way keeps
+ * a valid bit, a dirty bit and a unique use stamp; a miss fills the
+ * first invalid way or evicts the smallest stamp.
+ */
+class LruClockCache
+{
+  public:
+    explicit LruClockCache(const CacheGeometry &geom)
+        : geom_(geom), sets_(geom.numSets(), std::vector<Way>(geom.ways))
+    {}
+
+    LineAccess
+    access(uint64_t line_addr, bool write)
+    {
+        auto &set = sets_[setIndex(line_addr)];
+        const uint64_t tag = tagOf(line_addr);
+        LineAccess result;
+        for (auto &way : set) {
+            if (way.valid && way.tag == tag) {
+                way.lru = ++lruClock_;
+                way.dirty |= write;
+                ++hits_;
+                result.hit = true;
+                return result;
+            }
+        }
+        ++misses_;
+        Way *victim = &set[0];
+        for (auto &way : set) {
+            if (!way.valid) {
+                victim = &way;
+                break;
+            }
+            if (way.lru < victim->lru)
+                victim = &way;
+        }
+        if (victim->valid) {
+            result.evictedValid = true;
+            result.victimLine =
+                (victim->tag * geom_.numSets() + setIndex(line_addr)) *
+                geom_.lineBytes;
+            if (victim->dirty) {
+                result.evictedDirty = true;
+                ++writebacks_;
+            }
+        }
+        victim->valid = true;
+        victim->tag = tag;
+        victim->dirty = write;
+        victim->lru = ++lruClock_;
+        return result;
+    }
+
+    bool
+    probe(uint64_t line_addr) const
+    {
+        for (const auto &way : sets_[setIndex(line_addr)]) {
+            if (way.valid && way.tag == tagOf(line_addr))
+                return true;
+        }
+        return false;
+    }
+
+    bool
+    invalidate(uint64_t line_addr)
+    {
+        for (auto &way : sets_[setIndex(line_addr)]) {
+            if (way.valid && way.tag == tagOf(line_addr)) {
+                const bool was_dirty = way.dirty;
+                way.valid = false;
+                way.dirty = false;
+                return was_dirty;
+            }
+        }
+        return false;
+    }
+
+    void
+    reset()
+    {
+        for (auto &set : sets_) {
+            for (auto &way : set)
+                way = Way{};
+        }
+        lruClock_ = 0;
+        hits_ = misses_ = writebacks_ = 0;
+    }
+
+    uint64_t hits() const { return hits_; }
+    uint64_t misses() const { return misses_; }
+    uint64_t writebacks() const { return writebacks_; }
+
+    uint64_t
+    validLines() const
+    {
+        uint64_t n = 0;
+        for (const auto &set : sets_) {
+            for (const auto &way : set)
+                n += way.valid ? 1 : 0;
+        }
+        return n;
+    }
+
+  private:
+    struct Way
+    {
+        uint64_t tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        uint64_t lru = 0;
+    };
+
+    uint64_t
+    setIndex(uint64_t line_addr) const
+    {
+        return (line_addr / geom_.lineBytes) & (geom_.numSets() - 1);
+    }
+
+    uint64_t
+    tagOf(uint64_t line_addr) const
+    {
+        return line_addr / geom_.lineBytes / geom_.numSets();
+    }
+
+    CacheGeometry geom_;
+    std::vector<std::vector<Way>> sets_;
+    uint64_t lruClock_ = 0;
+    uint64_t hits_ = 0;
+    uint64_t misses_ = 0;
+    uint64_t writebacks_ = 0;
+};
+
+/**
+ * Drive Cache and the LRU-clock reference with one seeded stream of
+ * reads, writes, probes, invalidations and rare resets, and require
+ * identical results and counters after every operation. Addresses
+ * come from a pool of about three times the cache's capacity, plus
+ * lines with high tag bits set, so sets fill, hit, evict and refill.
+ */
+void
+expectMatchesLruClock(const CacheGeometry &geom, uint64_t seed)
+{
+    constexpr int kOps = 100000;
+    Cache flat(geom);
+    LruClockCache ref(geom);
+    std::mt19937_64 rng(seed);
+    const uint64_t capacity_lines = geom.sizeBytes / geom.lineBytes;
+    std::uniform_int_distribution<uint64_t> line_pick(
+        0, 3 * capacity_lines - 1);
+    std::uniform_int_distribution<int> op_pick(0, 999);
+
+    for (int i = 0; i < kOps; ++i) {
+        uint64_t line = line_pick(rng) * geom.lineBytes;
+        if ((rng() & 15) == 0)
+            line |= uint64_t{1} << (40 + rng() % 23);
+        const int op = op_pick(rng);
+        SCOPED_TRACE(::testing::Message()
+                     << geom.name << " op " << i << " kind " << op
+                     << " line 0x" << std::hex << line);
+        if (op < 700) {
+            const bool write = op >= 400;
+            const LineAccess a = flat.access(line, write);
+            const LineAccess b = ref.access(line, write);
+            ASSERT_EQ(a.hit, b.hit);
+            ASSERT_EQ(a.evictedValid, b.evictedValid);
+            ASSERT_EQ(a.evictedDirty, b.evictedDirty);
+            ASSERT_EQ(a.victimLine, b.victimLine);
+        } else if (op < 850) {
+            ASSERT_EQ(flat.probe(line), ref.probe(line));
+        } else if (op < 999) {
+            ASSERT_EQ(flat.invalidate(line), ref.invalidate(line));
+        } else {
+            flat.reset();
+            ref.reset();
+        }
+        ASSERT_EQ(flat.hits(), ref.hits());
+        ASSERT_EQ(flat.misses(), ref.misses());
+        ASSERT_EQ(flat.writebacks(), ref.writebacks());
+        ASSERT_EQ(flat.validLines(), ref.validLines());
+    }
+    // The stream must have exercised every path it compares.
+    EXPECT_GT(flat.hits(), 0u);
+    EXPECT_GT(flat.writebacks(), 0u);
+}
+
+TEST(CacheDifferential, MatchesLruClockModelAcrossAssociativities)
+{
+    uint64_t seed = 11;
+    for (const unsigned ways : {1u, 2u, 4u, 8u, 16u}) {
+        const CacheGeometry g{"ways" + std::to_string(ways),
+                              16 * ways * kLineBytes, ways, kLineBytes};
+        expectMatchesLruClock(g, seed++);
+    }
+}
+
+TEST(CacheDifferential, MatchesLruClockModelForOtherLineSizes)
+{
+    expectMatchesLruClock(CacheGeometry{"line32", 2 * KiB, 4, 32}, 21);
+    expectMatchesLruClock(CacheGeometry{"line128", 4 * KiB, 8, 128}, 22);
+    // One set: fully associative, every line competes for the same ways.
+    expectMatchesLruClock(CacheGeometry{"oneset", 8 * 64, 8, 64}, 23);
 }
 
 TEST(Dram, TrafficAccumulates)
