@@ -26,8 +26,8 @@
  * consistency and the raw-span tag-invalidation contract — plus
  * quarantine byte accounting and post-sweep reuse.
  *
- * Results go to stdout and BENCH_alloc.json (trajectory tracking,
- * uploaded by CI next to BENCH_sweep.json / BENCH_tenant.json).
+ * Results go to stdout and BENCH_alloc.json (trajectory tracking;
+ * CI uploads every BENCH_*.json as one artifact).
  *
  * Environment (strict parsing):
  *   CHERIVOKE_ALLOC_LIVE        = live-allocation target (default
@@ -37,7 +37,6 @@
  *                                 tenant phase)
  */
 
-#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <string>
@@ -52,37 +51,8 @@ using namespace cherivoke;
 
 namespace {
 
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** The tenant_scale slice profile (see bench/tenant_scale.cc). */
-constexpr double kMeanAllocBytes = 128.0;
-constexpr double kAggFreeRateMiBps = 64.0;
 /** Tenant count of the tenant phase (tenant_scale's largest row). */
 constexpr unsigned kTenants = 8;
-
-workload::BenchmarkProfile
-sliceProfile(unsigned tenants, uint64_t agg_allocs)
-{
-    workload::BenchmarkProfile p;
-    p.name = "tenant_slice";
-    p.pagesWithPointers = 0.35;
-    p.linePointerDensity = 0.06;
-    p.temporalFragmentation = 0;
-    const double agg_heap_bytes =
-        static_cast<double>(agg_allocs) * kMeanAllocBytes * 1.10;
-    p.liveHeapMiB = agg_heap_bytes / MiB / tenants;
-    p.freeRateMiBps = kAggFreeRateMiBps / tenants;
-    p.freesPerSec =
-        kAggFreeRateMiBps * MiB / kMeanAllocBytes / tenants;
-    p.appDramMiBps = 2000.0 / tenants;
-    return p;
-}
 
 /** Run any due sweep to completion; returns the wall seconds it
  *  spent so mutator-phase timings can subtract it. */
@@ -91,11 +61,11 @@ sweepIfDue(alloc::CherivokeAllocator &heap, uint64_t &sweeps)
 {
     if (!heap.needsSweep())
         return 0;
-    const double t0 = now();
+    const double t0 = bench::now();
     heap.prepareSweep();
     heap.finishSweep();
     ++sweeps;
-    return now() - t0;
+    return bench::now() - t0;
 }
 
 } // namespace
@@ -126,10 +96,10 @@ main()
     std::deque<cap::Capability> live;
 
     // ---- Phase A: ramp — malloc ops/s on a growing heap ---------
-    const double ramp0 = now();
+    const double ramp0 = bench::now();
     for (uint64_t i = 0; i < live_target; ++i)
         live.push_back(heap.malloc(rng.nextLogUniform(16, 512)));
-    const double ramp_sec = now() - ramp0;
+    const double ramp_sec = bench::now() - ramp0;
     const double malloc_ops =
         static_cast<double>(live_target) / ramp_sec;
     heap.dl().validateHeap();
@@ -138,13 +108,13 @@ main()
     const uint64_t burst = live.size() / 2;
     uint64_t sweeps = 0;
     double sweep_sec = 0;
-    const double burst0 = now();
+    const double burst0 = bench::now();
     for (uint64_t i = 0; i < burst; ++i) {
         heap.free(live.front());
         live.pop_front();
         sweep_sec += sweepIfDue(heap, sweeps);
     }
-    const double burst_sec = now() - burst0 - sweep_sec;
+    const double burst_sec = bench::now() - burst0 - sweep_sec;
     const double free_ops = static_cast<double>(burst) / burst_sec;
     heap.dl().validateHeap();
     if (heap.quarantinedBytes() >
@@ -156,14 +126,14 @@ main()
     // ---- Phase C: churn — sustained malloc+free incl. sweeps ----
     uint64_t churn_sweeps = 0;
     double churn_sweep_sec = 0;
-    const double churn0 = now();
+    const double churn0 = bench::now();
     for (uint64_t i = 0; i < churn_pairs; ++i) {
         const size_t victim = rng.nextBounded(live.size());
         heap.free(live[victim]);
         live[victim] = heap.malloc(rng.nextLogUniform(16, 512));
         churn_sweep_sec += sweepIfDue(heap, churn_sweeps);
     }
-    const double churn_sec = now() - churn0;
+    const double churn_sec = bench::now() - churn0;
     const double churn_ops =
         static_cast<double>(2 * churn_pairs) / churn_sec;
     heap.dl().validateHeap();
@@ -181,18 +151,18 @@ main()
     uint64_t tenant_ops = 0;
     if (agg_allocs > 0) {
         const workload::BenchmarkProfile profile =
-            sliceProfile(kTenants, agg_allocs);
+            bench::sliceProfile(kTenants, agg_allocs);
         sim::ExperimentConfig cfg = bench::defaultConfig();
         cfg.tenants = kTenants;
         cfg.scale = 1.0;
         cfg.durationSec = 2.0;
         const std::vector<workload::Trace> traces =
             sim::synthesizeTenantTraces(profile, cfg);
-        const double t0 = now();
+        const double t0 = bench::now();
         const sim::MultiTenantBenchResult r =
             sim::runMultiTenantBenchmark(
                 profile, cfg, sim::MachineProfile::x86(), &traces);
-        tenant_wall = now() - t0;
+        tenant_wall = bench::now() - t0;
         tenant_ops = r.run.totalOps;
         tenant_ops_per_sec =
             static_cast<double>(tenant_ops) / tenant_wall;
@@ -236,38 +206,20 @@ main()
                 churn_sweep_sec);
 
     // ---- BENCH_alloc.json ---------------------------------------
-    FILE *json = std::fopen("BENCH_alloc.json", "w");
-    if (json) {
-        std::fprintf(json, "{\n");
-        std::fprintf(json, "  \"bench\": \"alloc_hotpath\",\n");
-        std::fprintf(json, "  \"live_target\": %llu,\n",
-                     static_cast<unsigned long long>(live_target));
-        std::fprintf(json, "  \"malloc_ops_per_sec\": %.6g,\n",
-                     malloc_ops);
-        std::fprintf(json,
-                     "  \"quarantine_add_ops_per_sec\": %.6g,\n",
-                     free_ops);
-        std::fprintf(json, "  \"churn_ops_per_sec\": %.6g,\n",
-                     churn_ops);
-        std::fprintf(json, "  \"mean_bin_scan\": %.6g,\n",
-                     mutator.meanBinScanLength());
-        std::fprintf(json, "  \"raw_span_rate\": %.6g,\n",
-                     mutator.rawSpanRate());
-        std::fprintf(json, "  \"quarantine_merge_ratio\": %.6g,\n",
-                     mutator.mergeRatio());
-        std::fprintf(json,
-                     "  \"tenant\": {\"tenants\": %u, "
-                     "\"agg_allocs\": %llu, \"ops\": %llu, "
-                     "\"wall_sec\": %.6g, \"ops_per_sec\": %.6g},\n",
-                     kTenants,
-                     static_cast<unsigned long long>(agg_allocs),
-                     static_cast<unsigned long long>(tenant_ops),
-                     tenant_wall, tenant_ops_per_sec);
-        std::fprintf(json, "  \"ok\": %s\n", ok ? "true" : "false");
-        std::fprintf(json, "}\n");
-        std::fclose(json);
-        std::printf("wrote BENCH_alloc.json\n");
-    }
+    stats::JsonWriter json("BENCH_alloc.json");
+    json.field("bench", "alloc_hotpath").field("live_target", live_target)
+        .field("malloc_ops_per_sec", malloc_ops)
+        .field("quarantine_add_ops_per_sec", free_ops)
+        .field("churn_ops_per_sec", churn_ops)
+        .field("mean_bin_scan", mutator.meanBinScanLength())
+        .field("raw_span_rate", mutator.rawSpanRate())
+        .field("quarantine_merge_ratio", mutator.mergeRatio());
+    json.beginObject("tenant", stats::JsonWriter::Layout::Inline)
+        .field("tenants", kTenants).field("agg_allocs", agg_allocs)
+        .field("ops", tenant_ops).field("wall_sec", tenant_wall)
+        .field("ops_per_sec", tenant_ops_per_sec).end();
+    json.field("ok", ok).close();
+    std::printf("wrote BENCH_alloc.json\n");
 
     std::printf(ok ? "OK: heap valid after every phase\n"
                    : "FAILED: see gates above\n");

@@ -22,7 +22,6 @@
  * step. Exit code reflects the gates.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -42,14 +41,6 @@ constexpr revoke::BackendKind kBackends[] = {
 };
 constexpr size_t kNumBackends =
     sizeof(kBackends) / sizeof(kBackends[0]);
-
-double
-nowSec()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** One profile × backend run. wallSec is the only field outside the
  *  deterministic section. */
@@ -83,9 +74,9 @@ runCell(const workload::BenchmarkProfile &profile,
         const sim::ExperimentConfig &cfg)
 {
     Cell cell;
-    const double t0 = nowSec();
+    const double t0 = bench::now();
     cell.r = sim::runBenchmark(profile, cfg);
-    cell.wallSec = nowSec() - t0;
+    cell.wallSec = bench::now() - t0;
     return cell;
 }
 
@@ -227,81 +218,54 @@ runPass(const sim::ExperimentConfig &base)
 void
 writeJson(const Pass &pass, bool deterministic, bool ok)
 {
-    FILE *json = std::fopen("BENCH_backend.json", "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write BENCH_backend.json\n");
-        return;
-    }
-    auto cellJson = [&](const Cell &cell, revoke::BackendKind kind,
-                        const char *indent, const char *tail) {
+    using Layout = stats::JsonWriter::Layout;
+    stats::JsonWriter json("BENCH_backend.json");
+    // One cell's members; the caller opens and ends its object.
+    auto cellFields = [&](const Cell &cell, revoke::BackendKind kind) {
         const workload::DriverResult &m = cell.r.run;
         const revoke::BackendStats &b = cell.r.backendStats;
-        std::fprintf(
-            json,
-            "%s{\"backend\": \"%s\", \"allocs\": %llu, "
-            "\"frees\": %llu, \"ptr_stores\": %llu, "
-            "\"peak_live_allocs\": %llu, \"epochs\": %llu, "
-            "\"pages_swept\": %llu, \"caps_revoked\": %llu, "
-            "\"normalized_time\": %.6g, \"sweep_overhead\": %.6g, "
-            "\"traffic_pct\": %.6g, \"color_assigns\": %llu, "
-            "\"colors_recycled\": %llu, \"recycle_scans\": %llu, "
-            "\"exhaustion_stalls\": %llu, \"forced_shares\": %llu, "
-            "\"ids_assigned\": %llu, \"id_checks\": %llu, "
-            "\"id_compactions\": %llu, \"entries_compacted\": %llu, "
-            "\"metadata_bytes\": %llu, \"wall_sec\": %.6g}%s\n",
-            indent, revoke::backendName(kind),
-            static_cast<unsigned long long>(m.allocCalls),
-            static_cast<unsigned long long>(m.freeCalls),
-            static_cast<unsigned long long>(m.ptrStores),
-            static_cast<unsigned long long>(m.peakLiveAllocs),
-            static_cast<unsigned long long>(m.revoker.epochs),
-            static_cast<unsigned long long>(
-                m.revoker.sweep.pagesSwept),
-            static_cast<unsigned long long>(
-                m.revoker.sweep.capsRevoked),
-            cell.r.normalizedTime, cell.r.sweepOverhead,
-            cell.r.trafficOverheadPct,
-            static_cast<unsigned long long>(b.colorAssigns),
-            static_cast<unsigned long long>(b.colorsRecycled),
-            static_cast<unsigned long long>(b.recycleScans),
-            static_cast<unsigned long long>(b.colorExhaustionStalls),
-            static_cast<unsigned long long>(b.colorForcedShares),
-            static_cast<unsigned long long>(b.idsAssigned),
-            static_cast<unsigned long long>(b.idChecks),
-            static_cast<unsigned long long>(b.idCompactions),
-            static_cast<unsigned long long>(b.idTableEntriesCompacted),
-            static_cast<unsigned long long>(b.metadataBytes),
-            cell.wallSec, tail);
+        json.field("backend", revoke::backendName(kind))
+            .field("allocs", m.allocCalls).field("frees", m.freeCalls)
+            .field("ptr_stores", m.ptrStores)
+            .field("peak_live_allocs", m.peakLiveAllocs)
+            .field("epochs", m.revoker.epochs)
+            .field("pages_swept", m.revoker.sweep.pagesSwept)
+            .field("caps_revoked", m.revoker.sweep.capsRevoked)
+            .field("normalized_time", cell.r.normalizedTime)
+            .field("sweep_overhead", cell.r.sweepOverhead)
+            .field("traffic_pct", cell.r.trafficOverheadPct)
+            .field("color_assigns", b.colorAssigns)
+            .field("colors_recycled", b.colorsRecycled)
+            .field("recycle_scans", b.recycleScans)
+            .field("exhaustion_stalls", b.colorExhaustionStalls)
+            .field("forced_shares", b.colorForcedShares)
+            .field("ids_assigned", b.idsAssigned)
+            .field("id_checks", b.idChecks)
+            .field("id_compactions", b.idCompactions)
+            .field("entries_compacted", b.idTableEntriesCompacted)
+            .field("metadata_bytes", b.metadataBytes)
+            .field("wall_sec", cell.wallSec);
     };
 
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"backend_compare\",\n");
-    std::fprintf(json, "  \"rows\": [\n");
-    for (size_t i = 0; i < pass.rows.size(); ++i) {
-        const Row &row = pass.rows[i];
-        std::fprintf(json, "    {\"benchmark\": \"%s\", "
-                           "\"backends\": [\n",
-                     row.benchmark.c_str());
-        for (size_t k = 0; k < kNumBackends; ++k)
-            cellJson(row.cells[k], kBackends[k], "      ",
-                     k + 1 < kNumBackends ? "," : "");
-        std::fprintf(json, "    ]}%s\n",
-                     i + 1 < pass.rows.size() ? "," : "");
+    json.field("bench", "backend_compare")
+        .beginArray("rows", Layout::Block);
+    for (const Row &row : pass.rows) {
+        json.beginObject(Layout::Inline)
+            .field("benchmark", row.benchmark)
+            .beginArray("backends", Layout::Block);
+        for (size_t k = 0; k < kNumBackends; ++k) {
+            json.beginObject(Layout::Inline);
+            cellFields(row.cells[k], kBackends[k]);
+            json.end();
+        }
+        json.end().end();
     }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"exhaustion\":\n");
-    cellJson(pass.exhaustion, revoke::BackendKind::Color, "    ",
-             ",");
-    std::fprintf(json, "  \"compaction\":\n");
-    cellJson(pass.compaction, revoke::BackendKind::ObjectId, "    ",
-             ",");
-    std::fprintf(json, "  \"parity\": %s,\n",
-                 pass.parityOk ? "true" : "false");
-    std::fprintf(json, "  \"deterministic\": %s,\n",
-                 deterministic ? "true" : "false");
-    std::fprintf(json, "  \"ok\": %s\n", ok ? "true" : "false");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
+    json.end().beginObject("exhaustion", Layout::Inline);
+    cellFields(pass.exhaustion, revoke::BackendKind::Color);
+    json.end().beginObject("compaction", Layout::Inline);
+    cellFields(pass.compaction, revoke::BackendKind::ObjectId);
+    json.end().field("parity", pass.parityOk)
+        .field("deterministic", deterministic).field("ok", ok).close();
     std::printf("wrote BENCH_backend.json\n");
 }
 

@@ -1,17 +1,21 @@
 /**
  * @file
  * Shared helpers for the benchmark harness: the table 1 system
- * banner and default experiment settings used across figures.
+ * banner, default experiment settings used across figures, the host
+ * clock, the multi-tenant slice profile, and the BENCH_*.json writer.
  */
 
 #ifndef CHERIVOKE_BENCH_BENCH_COMMON_HH
 #define CHERIVOKE_BENCH_BENCH_COMMON_HH
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
+#include "stats/json.hh"
 #include "support/env.hh"
 #include "support/logging.hh"
+#include "support/units.hh"
 #include "sim/experiment.hh"
 
 namespace cherivoke {
@@ -29,6 +33,47 @@ printSystems(const char *title)
                 "DDR4 19405 MiB/s read\n");
     std::printf("  CHERI  : 100 MHz FPGA, in-order, 256 KiB LLC, "
                 "DDR2\n\n");
+}
+
+/** Host wall-clock seconds on a monotonic clock. */
+inline double
+now()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+/**
+ * The consolidated-service profile for N tenants (tenant_scale's rows,
+ * alloc_hotpath's tenant phase): each tenant is a 1/N slice of a
+ * constant aggregate (live bytes and free traffic), so sweep period
+ * and total work are comparable across rows. FIFO object lifetimes
+ * (temporalFragmentation 0) keep synthesis linear-time at millions
+ * of live objects.
+ */
+inline workload::BenchmarkProfile
+sliceProfile(unsigned tenants, uint64_t agg_allocs)
+{
+    /** Mean allocation size the profile implies (table 2 identity). */
+    constexpr double kMeanAllocBytes = 128.0;
+    /** Aggregate free traffic, split evenly across tenants. */
+    constexpr double kAggFreeRateMiBps = 64.0;
+    workload::BenchmarkProfile p;
+    p.name = "tenant_slice";
+    p.pagesWithPointers = 0.35;
+    p.linePointerDensity = 0.06;
+    p.temporalFragmentation = 0;
+    // Ramp target: agg_allocs allocations of ~125 B expected size,
+    // plus margin so the allocation *count* target is certainly met.
+    const double agg_heap_bytes =
+        static_cast<double>(agg_allocs) * kMeanAllocBytes * 1.10;
+    p.liveHeapMiB = agg_heap_bytes / MiB / tenants;
+    p.freeRateMiBps = kAggFreeRateMiBps / tenants;
+    p.freesPerSec =
+        kAggFreeRateMiBps * MiB / kMeanAllocBytes / tenants;
+    p.appDramMiBps = 2000.0 / tenants; //!< per-tenant app traffic
+    return p;
 }
 
 /**

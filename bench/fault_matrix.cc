@@ -784,94 +784,51 @@ main()
 
     // The reduced TSan configuration emits no artifact: a subset
     // run must never become the regression baseline.
-    FILE *json = supervision_only
-                     ? nullptr
-                     : std::fopen("BENCH_fault.json", "w");
-    if (json) {
-        std::fprintf(json, "{\n");
-        std::fprintf(json, "  \"bench\": \"fault_matrix\",\n");
-        std::fprintf(json, "  \"deterministic\": {\n");
-        std::fprintf(json, "    \"seed\": %llu,\n",
-                     static_cast<unsigned long long>(seed));
-        std::fprintf(json, "    \"seeded_plan\": \"%s\",\n",
-                     a.seeded.planText.c_str());
-        std::fprintf(json, "    \"cells\": [\n");
-        for (size_t i = 0; i < a.cells.size(); ++i) {
-            const Cell &c = a.cells[i];
-            std::fprintf(
-                json,
-                "      {\"kind\": \"%s\", \"contained\": %s, "
-                "\"fault_op\": %llu, \"pages_released\": %llu, "
-                "\"survivors_bit_identical\": %s}%s\n",
-                heapFaultKindName(c.kind), c.ok ? "true" : "false",
-                static_cast<unsigned long long>(c.faultOp),
-                static_cast<unsigned long long>(c.pagesReleased),
-                c.survivorMatch ? "true" : "false",
-                i + 1 < a.cells.size() ? "," : "");
-        }
-        std::fprintf(json, "    ],\n");
-        std::fprintf(json, "    \"supervision\": [\n");
-        for (size_t i = 0; i < a.supervision.size(); ++i) {
-            const SupervisionCell &c = a.supervision[i];
-            std::fprintf(
-                json,
-                "      {\"cell\": \"%s\", \"plan\": \"%s\", "
-                "\"ok\": %s, \"stalls\": %llu, \"retries\": %llu, "
-                "\"crashes\": %llu, \"reassigns\": %llu, "
-                "\"stw_catchups\": %llu, \"containments\": %llu, "
-                "\"survivors_bit_identical\": %s}%s\n",
-                c.name, c.plan, c.ok ? "true" : "false",
-                static_cast<unsigned long long>(c.stalls),
-                static_cast<unsigned long long>(c.retries),
-                static_cast<unsigned long long>(c.crashes),
-                static_cast<unsigned long long>(c.reassigns),
-                static_cast<unsigned long long>(c.stwCatchups),
-                static_cast<unsigned long long>(c.containments),
-                c.survivorMatch ? "true" : "false",
-                i + 1 < a.supervision.size() ? "," : "");
-        }
-        std::fprintf(json, "    ],\n");
-        std::fprintf(json, "    \"pressure\": {\"events\": %llu, "
-                           "\"pages_reclaimed\": %llu, "
-                           "\"oom_kills\": %llu, "
-                           "\"survivors\": %u},\n",
-                     static_cast<unsigned long long>(
-                         a.pressure.pressureEvents),
-                     static_cast<unsigned long long>(
-                         a.pressure.pagesReclaimed),
-                     static_cast<unsigned long long>(
-                         a.pressure.oomKills),
-                     a.pressure.survivors);
-        std::fprintf(json, "    \"fingerprint\": \"%016llx\",\n",
-                     static_cast<unsigned long long>(
-                         fnv1a(a.detText)));
-        std::fprintf(json, "    \"rerun_identical\": %s\n",
-                     rerun_identical ? "true" : "false");
-        std::fprintf(json, "  },\n");
-        std::fprintf(json, "  \"reporting\": {\n");
-        std::fprintf(json, "    \"cells\": [\n");
-        for (size_t i = 0; i < a.cells.size(); ++i) {
-            const Cell &c = a.cells[i];
-            std::fprintf(
-                json,
-                "      {\"kind\": \"%s\", "
-                "\"containment_sec\": %.6g, "
-                "\"faulted_ops_per_sec\": %.6g, "
-                "\"control_ops_per_sec\": %.6g}%s\n",
-                heapFaultKindName(c.kind), c.containSec,
-                c.faultedOpsPerSec, c.controlOpsPerSec,
-                i + 1 < a.cells.size() ? "," : "");
-        }
-        std::fprintf(json, "    ],\n");
-        std::fprintf(json,
-                     "    \"pressure_wall_sec\": %.6g,\n",
-                     a.pressure.wallSec);
-        std::fprintf(json, "    \"pressure_budget_mib\": %.6g\n",
-                     a.pressure.budgetMiB);
-        std::fprintf(json, "  },\n");
-        std::fprintf(json, "  \"ok\": %s\n", ok ? "true" : "false");
-        std::fprintf(json, "}\n");
-        std::fclose(json);
+    if (!supervision_only) {
+        using Layout = stats::JsonWriter::Layout;
+        stats::JsonWriter json("BENCH_fault.json");
+        json.field("bench", "fault_matrix")
+            .beginObject("deterministic", Layout::Block)
+            .field("seed", seed).field("seeded_plan", a.seeded.planText)
+            .beginArray("cells", Layout::Block);
+        for (const Cell &c : a.cells)
+            json.beginObject(Layout::Inline)
+                .field("kind", heapFaultKindName(c.kind))
+                .field("contained", c.ok).field("fault_op", c.faultOp)
+                .field("pages_released", c.pagesReleased)
+                .field("survivors_bit_identical", c.survivorMatch).end();
+        json.end().beginArray("supervision", Layout::Block);
+        for (const SupervisionCell &c : a.supervision)
+            json.beginObject(Layout::Inline)
+                .field("cell", c.name).field("plan", c.plan)
+                .field("ok", c.ok).field("stalls", c.stalls)
+                .field("retries", c.retries).field("crashes", c.crashes)
+                .field("reassigns", c.reassigns)
+                .field("stw_catchups", c.stwCatchups)
+                .field("containments", c.containments)
+                .field("survivors_bit_identical", c.survivorMatch).end();
+        char fingerprint[17];
+        std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                      static_cast<unsigned long long>(
+                          fnv1a(a.detText)));
+        json.end().beginObject("pressure", Layout::Inline)
+            .field("events", a.pressure.pressureEvents)
+            .field("pages_reclaimed", a.pressure.pagesReclaimed)
+            .field("oom_kills", a.pressure.oomKills)
+            .field("survivors", a.pressure.survivors).end()
+            .field("fingerprint", fingerprint)
+            .field("rerun_identical", rerun_identical).end();
+        json.beginObject("reporting", Layout::Block)
+            .beginArray("cells", Layout::Block);
+        for (const Cell &c : a.cells)
+            json.beginObject(Layout::Inline)
+                .field("kind", heapFaultKindName(c.kind))
+                .field("containment_sec", c.containSec)
+                .field("faulted_ops_per_sec", c.faultedOpsPerSec)
+                .field("control_ops_per_sec", c.controlOpsPerSec).end();
+        json.end().field("pressure_wall_sec", a.pressure.wallSec)
+            .field("pressure_budget_mib", a.pressure.budgetMiB).end();
+        json.field("ok", ok).close();
         std::printf("wrote BENCH_fault.json\n");
     }
 

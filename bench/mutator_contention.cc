@@ -39,7 +39,6 @@
  *                                (default 50000)
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -53,14 +52,6 @@
 using namespace cherivoke;
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 struct MsgpassRow
 {
@@ -79,7 +70,7 @@ runMsgpass(unsigned producers, uint64_t entries_each,
     MsgpassRow row;
     row.producers = producers;
     tenant::RemoteFreeQueue queue;
-    const double t0 = now();
+    const double t0 = bench::now();
 
     std::vector<std::thread> threads;
     for (unsigned p = 0; p < producers; ++p) {
@@ -110,7 +101,7 @@ runMsgpass(unsigned producers, uint64_t entries_each,
     for (auto &t : threads)
         t.join();
 
-    row.wallSec = now() - t0;
+    row.wallSec = bench::now() - t0;
     row.entries = entries;
     row.batches = batches;
     row.conserved = order_ok && queue.drained() &&
@@ -298,75 +289,39 @@ main()
                     threaded.run.mutatorRemoteFrees));
 
     // ---- BENCH_mutator.json -------------------------------------
-    FILE *json = std::fopen("BENCH_mutator.json", "w");
-    if (json) {
-        std::fprintf(json, "{\n");
-        std::fprintf(json, "  \"bench\": \"mutator_contention\",\n");
-        std::fprintf(json, "  \"hw_concurrency\": %u,\n", hw);
-        std::fprintf(json, "  \"remote_batch\": %u,\n", batch);
-        std::fprintf(json, "  \"msgpass\": [\n");
-        for (size_t i = 0; i < msgpass.size(); ++i) {
-            const MsgpassRow &r = msgpass[i];
-            std::fprintf(
-                json,
-                "    {\"producers\": %u, \"entries\": %llu, "
-                "\"batches\": %llu, \"wall_sec\": %.6f, "
-                "\"conserved\": %s}%s\n",
-                r.producers,
-                static_cast<unsigned long long>(r.entries),
-                static_cast<unsigned long long>(r.batches),
-                r.wallSec, r.conserved ? "true" : "false",
-                i + 1 < msgpass.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n");
-        std::fprintf(
-            json,
-            "  \"pingpong\": {\"threads\": 2, \"frees\": %llu, "
-            "\"remote\": %llu, \"batches\": %llu, "
-            "\"wall_sec\": %.6f, \"deterministic\": %s},\n",
-            static_cast<unsigned long long>(pp_a.effectiveFrees),
-            static_cast<unsigned long long>(pp_a.remoteFrees),
-            static_cast<unsigned long long>(pp_a.batches),
-            pp_a.wallSec,
-            pp_all_remote && pp_deterministic ? "true" : "false");
-        std::fprintf(json, "  \"lotsofthreads\": [\n");
-        for (size_t i = 0; i < rows.size(); ++i) {
-            const auto &r = rows[i];
-            std::fprintf(
-                json,
-                "    {\"threads\": %u, \"remote_frees\": %llu, "
-                "\"batches\": %llu, \"drains\": %llu, "
-                "\"epoch_barriers\": %llu, \"fingerprint\": %llu, "
-                "\"wall_sec\": %.6f, \"deterministic\": %s}%s\n",
-                r.threads,
-                static_cast<unsigned long long>(
-                    r.result.remoteFrees),
-                static_cast<unsigned long long>(r.result.batches),
-                static_cast<unsigned long long>(r.result.drains),
-                static_cast<unsigned long long>(
-                    r.result.epochBarriers),
-                static_cast<unsigned long long>(
-                    r.result.fingerprint()),
-                r.result.wallSec,
-                r.deterministic ? "true" : "false",
-                i + 1 < rows.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n");
-        std::fprintf(
-            json,
-            "  \"tenant_parity\": {\"serial_threads\": 1, "
-            "\"threaded_threads\": 4, \"bit_identical\": %s, "
-            "\"remote_frees\": %llu, \"epoch_barriers\": %llu},\n",
-            parity ? "true" : "false",
-            static_cast<unsigned long long>(
-                threaded.run.mutatorRemoteFrees),
-            static_cast<unsigned long long>(
-                threaded.run.mutatorEpochBarriers));
-        std::fprintf(json, "  \"ok\": %s\n", ok ? "true" : "false");
-        std::fprintf(json, "}\n");
-        std::fclose(json);
-        std::printf("wrote BENCH_mutator.json\n");
-    }
+    using Layout = stats::JsonWriter::Layout;
+    stats::JsonWriter json("BENCH_mutator.json");
+    json.field("bench", "mutator_contention").field("hw_concurrency", hw)
+        .field("remote_batch", batch).beginArray("msgpass", Layout::Block);
+    for (const MsgpassRow &r : msgpass)
+        json.beginObject(Layout::Inline)
+            .field("producers", r.producers).field("entries", r.entries)
+            .field("batches", r.batches).field("wall_sec", r.wallSec)
+            .field("conserved", r.conserved).end();
+    json.end();
+    json.beginObject("pingpong", Layout::Inline).field("threads", 2u)
+        .field("frees", pp_a.effectiveFrees).field("remote", pp_a.remoteFrees)
+        .field("batches", pp_a.batches).field("wall_sec", pp_a.wallSec)
+        .field("deterministic", pp_all_remote && pp_deterministic).end();
+    json.beginArray("lotsofthreads", Layout::Block);
+    for (const RampRow &r : rows)
+        json.beginObject(Layout::Inline)
+            .field("threads", r.threads)
+            .field("remote_frees", r.result.remoteFrees)
+            .field("batches", r.result.batches)
+            .field("drains", r.result.drains)
+            .field("epoch_barriers", r.result.epochBarriers)
+            .field("fingerprint", r.result.fingerprint())
+            .field("wall_sec", r.result.wallSec)
+            .field("deterministic", r.deterministic).end();
+    json.end();
+    json.beginObject("tenant_parity", Layout::Inline)
+        .field("serial_threads", 1u).field("threaded_threads", 4u)
+        .field("bit_identical", parity)
+        .field("remote_frees", threaded.run.mutatorRemoteFrees)
+        .field("epoch_barriers", threaded.run.mutatorEpochBarriers).end();
+    json.field("ok", ok).close();
+    std::printf("wrote BENCH_mutator.json\n");
 
     if (ok) {
         std::printf("OK: conservation, all-remote ping-pong, "

@@ -258,40 +258,24 @@ main(int argc, char **argv)
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
-    FILE *json = std::fopen("BENCH_adaptive.json", "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write BENCH_adaptive.json\n");
-        return 1;
-    }
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"policy_sweep\",\n");
-    std::fprintf(json, "  \"policies\": [");
-    for (size_t i = 0; i < policies.size(); ++i) {
-        std::fprintf(json, "%s\"%s\"", i ? ", " : "",
-                     revoke::policyName(policies[i]));
-    }
-    std::fprintf(json, "],\n");
-    std::fprintf(json, "  \"rows\": [\n");
+    using Layout = stats::JsonWriter::Layout;
+    stats::JsonWriter json("BENCH_adaptive.json");
+    json.field("bench", "policy_sweep")
+        .beginArray("policies", Layout::Inline);
+    for (const revoke::PolicyKind policy : policies)
+        json.value(revoke::policyName(policy));
+    json.end().beginArray("rows", Layout::Block);
     for (size_t i = 0; i < gate_rows.size(); ++i) {
-        std::fprintf(json, "    {\"benchmark\": \"%s\"",
-                     profiles[i].name.c_str());
-        for (const auto &entry : gate_rows[i]) {
-            std::fprintf(json, ", \"%s\": %.17g",
-                         entry.first.c_str(), entry.second);
-        }
-        std::fprintf(json, "}%s\n",
-                     i + 1 < gate_rows.size() ? "," : "");
+        json.beginObject(Layout::Inline)
+            .field("benchmark", profiles[i].name);
+        for (const auto &[column, value] : gate_rows[i])
+            json.field(column, value, 17);
+        json.end();
     }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"traffic_parity\": %s,\n",
-                 all_match ? "true" : "false");
-    std::fprintf(json, "  \"adaptive_ok\": %s,\n",
-                 adaptive_ok ? "true" : "false");
-    std::fprintf(json, "  \"deterministic\": %s,\n",
-                 deterministic ? "true" : "false");
-    std::fprintf(json, "  \"elapsed_ms\": %.3f\n", elapsed_ms);
-    std::fprintf(json, "}\n");
-    std::fclose(json);
+    json.end().field("traffic_parity", all_match)
+        .field("adaptive_ok", adaptive_ok)
+        .field("deterministic", deterministic)
+        .field("elapsed_ms", elapsed_ms).close();
 
     const bool ok = all_match && adaptive_ok && deterministic;
     std::printf(ok ? "OK: traffic parity, adaptive gate and "

@@ -23,7 +23,6 @@
  * CHERIVOKE_* knob.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -44,14 +43,6 @@ namespace {
 constexpr uint64_t kImageAllocs = 80000;
 /** Minimum measure window per configuration, in seconds. */
 constexpr double kWindowSec = 0.2;
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Snapshot of the heap's whole shadow span. */
 std::vector<uint8_t>
@@ -180,11 +171,11 @@ main()
         // Then throughput: repeat paint/clear, timing the paints.
         double painting = 0;
         uint64_t iters = 0;
-        const double begin = now();
-        while (now() - begin < kWindowSec || iters < 3) {
-            const double t0 = now();
+        const double begin = bench::now();
+        while (bench::now() - begin < kWindowSec || iters < 3) {
+            const double t0 = bench::now();
             paintOnce();
-            painting += now() - t0;
+            painting += bench::now() - t0;
             ++iters;
             clearAll();
         }
@@ -224,11 +215,11 @@ main()
 
         double sweeping = 0;
         uint64_t iters = 0, pages = 0;
-        const double begin = now();
-        while (now() - begin < kWindowSec || iters < 3) {
-            const double t0 = now();
+        const double begin = bench::now();
+        while (bench::now() - begin < kWindowSec || iters < 3) {
+            const double t0 = bench::now();
             const revoke::SweepStats s = sweeper.sweep(space, shadow);
-            sweeping += now() - t0;
+            sweeping += bench::now() - t0;
             pages += s.pagesSwept;
             ++iters;
         }
@@ -285,53 +276,28 @@ main()
                        : "");
 
     // ---- BENCH_sweep.json ---------------------------------------
-    FILE *json = std::fopen("BENCH_sweep.json", "w");
-    if (json) {
-        std::fprintf(json, "{\n");
-        std::fprintf(json, "  \"bench\": \"sweep_hotpath\",\n");
-        std::fprintf(json, "  \"allocations\": %llu,\n",
-                     static_cast<unsigned long long>(kImageAllocs));
-        std::fprintf(json, "  \"painted_granules\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         painted_granules));
-        std::fprintf(json, "  \"swept_pages_per_iter\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         ref_sweep.pagesSwept));
-        std::fprintf(json, "  \"paint\": [\n");
-        for (size_t i = 0; i < paint_rows.size(); ++i) {
-            const PaintRow &r = paint_rows[i];
-            std::fprintf(
-                json,
-                "    {\"shards\": %u, \"sec_per_iter\": %.6g, "
-                "\"granules_per_sec\": %.6g, \"equal\": %s}%s\n",
-                r.shards, r.secPerIter, r.granulesPerSec,
-                r.equal ? "true" : "false",
-                i + 1 < paint_rows.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n");
-        std::fprintf(json, "  \"sweep\": [\n");
-        for (size_t i = 0; i < sweep_rows.size(); ++i) {
-            const SweepRow &r = sweep_rows[i];
-            std::fprintf(
-                json,
-                "    {\"threads\": %u, \"sec_per_iter\": %.6g, "
-                "\"pages_per_sec\": %.6g, \"equal\": %s}%s\n",
-                r.threads, r.secPerIter, r.pagesPerSec,
-                r.equal ? "true" : "false",
-                i + 1 < sweep_rows.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n");
-        std::fprintf(json, "  \"hw_concurrency\": %u,\n", hw);
-        std::fprintf(json, "  \"paint_speedup_4shards\": %.3f,\n",
-                     paint_serial / paint_4);
-        std::fprintf(json, "  \"sweep_speedup_4threads\": %.3f,\n",
-                     sweep_1 / sweep_4);
-        std::fprintf(json, "  \"ok\": %s\n",
-                     all_equal ? "true" : "false");
-        std::fprintf(json, "}\n");
-        std::fclose(json);
-        std::printf("wrote BENCH_sweep.json\n");
-    }
+    using Layout = stats::JsonWriter::Layout;
+    stats::JsonWriter json("BENCH_sweep.json");
+    json.field("bench", "sweep_hotpath").field("allocations", kImageAllocs)
+        .field("painted_granules", painted_granules)
+        .field("swept_pages_per_iter", ref_sweep.pagesSwept);
+    json.beginArray("paint", Layout::Block);
+    for (const PaintRow &r : paint_rows)
+        json.beginObject(Layout::Inline)
+            .field("shards", r.shards).field("sec_per_iter", r.secPerIter)
+            .field("granules_per_sec", r.granulesPerSec)
+            .field("equal", r.equal).end();
+    json.end().beginArray("sweep", Layout::Block);
+    for (const SweepRow &r : sweep_rows)
+        json.beginObject(Layout::Inline)
+            .field("threads", r.threads).field("sec_per_iter", r.secPerIter)
+            .field("pages_per_sec", r.pagesPerSec).field("equal", r.equal)
+            .end();
+    json.end().field("hw_concurrency", hw)
+        .field("paint_speedup_4shards", paint_serial / paint_4)
+        .field("sweep_speedup_4threads", sweep_1 / sweep_4)
+        .field("ok", all_equal).close();
+    std::printf("wrote BENCH_sweep.json\n");
 
     // Gate parallel health wherever the host can show it: with
     // >= 4 hardware threads the bench fails only when 4-shard paint

@@ -36,8 +36,8 @@
  * determinism, and reports the per-tenant sweep overheads
  * separately.
  *
- * Results go to stdout and BENCH_tenant.json (trajectory tracking,
- * uploaded by CI next to BENCH_sweep.json).
+ * Results go to stdout and BENCH_tenant.json (trajectory tracking;
+ * CI uploads every BENCH_*.json as one artifact).
  *
  * Environment (strict parsing; see bench_common.hh for the shared
  * engine knobs which all apply here too; the churn and mixed-policy
@@ -49,7 +49,6 @@
  * churn phase's kChurnCycles = 4 cycles are fixed in code.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -63,57 +62,18 @@ using namespace cherivoke;
 
 namespace {
 
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Mean allocation size the profile implies (table 2 identity). */
-constexpr double kMeanAllocBytes = 128.0;
-/** Aggregate free traffic, split evenly across tenants. */
-constexpr double kAggFreeRateMiBps = 64.0;
 /** Largest tenant count (the last scaling row). */
 constexpr unsigned kTenantMax = 8;
 /** Spawn→retire cycles in the churn phase (>= 2, so slot reuse is
  *  always exercised). */
 constexpr unsigned kChurnCycles = 4;
 
-/**
- * The consolidated-service profile for N tenants: each tenant is a
- * 1/N slice of a constant aggregate (live bytes and free traffic),
- * so sweep period and total work are comparable across rows.
- * FIFO object lifetimes (temporalFragmentation 0) keep synthesis
- * linear-time at millions of live objects.
- */
-workload::BenchmarkProfile
-sliceProfile(unsigned tenants, uint64_t agg_allocs)
-{
-    workload::BenchmarkProfile p;
-    p.name = "tenant_slice";
-    p.pagesWithPointers = 0.35;
-    p.linePointerDensity = 0.06;
-    p.temporalFragmentation = 0;
-    // Ramp target: agg_allocs allocations of ~125 B expected size,
-    // plus margin so the allocation *count* target is certainly met.
-    const double agg_heap_bytes =
-        static_cast<double>(agg_allocs) * kMeanAllocBytes * 1.10;
-    p.liveHeapMiB = agg_heap_bytes / MiB / tenants;
-    p.freeRateMiBps = kAggFreeRateMiBps / tenants;
-    p.freesPerSec =
-        kAggFreeRateMiBps * MiB / kMeanAllocBytes / tenants;
-    p.appDramMiBps = 2000.0 / tenants; //!< per-tenant app traffic
-    return p;
-}
-
 sim::ExperimentConfig
 rowConfig(unsigned tenants)
 {
     sim::ExperimentConfig cfg = bench::defaultConfig();
     // The tenant count IS this bench's x-axis; the heap targets come
-    // from sliceProfile.
+    // from bench::sliceProfile.
     cfg.tenants = tenants;
     cfg.scale = 1.0; //!< real allocation counts, no scaling
     cfg.durationSec = 2.0;
@@ -282,7 +242,7 @@ main()
 
     for (unsigned n : counts) {
         const workload::BenchmarkProfile profile =
-            sliceProfile(n, agg_allocs);
+            bench::sliceProfile(n, agg_allocs);
         const sim::ExperimentConfig cfg = rowConfig(n);
 
         // Record once through the binary codec, then replay — the
@@ -292,10 +252,10 @@ main()
 
         Row row;
         row.tenants = n;
-        const double t0 = now();
+        const double t0 = bench::now();
         row.bench = sim::runMultiTenantBenchmark(
             profile, cfg, sim::MachineProfile::x86(), &traces);
-        row.wallSec = now() - t0;
+        row.wallSec = bench::now() - t0;
 
         if (n == counts.back()) {
             // Determinism gate: identical traces, fresh manager —
@@ -345,7 +305,7 @@ main()
     bool single_match = true;
     {
         const workload::BenchmarkProfile profile =
-            sliceProfile(1, agg_allocs);
+            bench::sliceProfile(1, agg_allocs);
         const sim::ExperimentConfig cfg = rowConfig(1);
         const sim::BenchResult classic =
             sim::runBenchmark(profile, cfg);
@@ -383,7 +343,7 @@ main()
          churn_complete = true, churn_deterministic = true;
     {
         const workload::BenchmarkProfile profile =
-            sliceProfile(2, std::max<uint64_t>(agg_allocs / 4, 20000));
+            bench::sliceProfile(2, std::max<uint64_t>(agg_allocs / 4, 20000));
         sim::ExperimentConfig cfg = rowConfig(2);
         cfg.tenantChurn = kChurnCycles;
         cfg.policy = revoke::PolicyKind::StopTheWorld;
@@ -475,7 +435,7 @@ main()
     const char *mixed_policies[2] = {"concurrent", "stop-the-world"};
     {
         const workload::BenchmarkProfile profile =
-            sliceProfile(2, std::max<uint64_t>(agg_allocs / 4, 20000));
+            bench::sliceProfile(2, std::max<uint64_t>(agg_allocs / 4, 20000));
         sim::ExperimentConfig cfg = rowConfig(2);
         cfg.tenantPolicies = {revoke::PolicyKind::Concurrent,
                               revoke::PolicyKind::StopTheWorld};
@@ -555,123 +515,73 @@ main()
                 rows.back().bench.run.tenantEpochs.max());
 
     // ---- BENCH_tenant.json --------------------------------------
-    FILE *json = std::fopen("BENCH_tenant.json", "w");
-    if (json) {
-        std::fprintf(json, "{\n");
-        std::fprintf(json, "  \"bench\": \"tenant_scale\",\n");
-        std::fprintf(json, "  \"agg_alloc_target\": %llu,\n",
-                     static_cast<unsigned long long>(agg_allocs));
-        std::fprintf(json, "  \"rows\": [\n");
-        for (size_t i = 0; i < rows.size(); ++i) {
-            const Row &r = rows[i];
-            const tenant::MultiTenantResult &m = r.bench.run;
-            std::fprintf(
-                json,
-                "    {\"tenants\": %u, \"ops\": %llu, "
-                "\"peak_live_allocs\": %llu, "
-                "\"peak_live_bytes\": %llu, \"epochs\": %llu, "
-                "\"pages_swept\": %llu, \"caps_revoked\": %llu, "
-                "\"sweep_overhead\": %.6g, "
-                "\"shadow_overhead\": %.6g, "
-                "\"traffic_pct\": %.6g, \"scan_rate\": %.6g, "
-                "\"wall_sec\": %.6g, \"ops_per_sec\": %.6g, "
-                "\"mutator_ops_per_sec\": %.6g}%s\n",
-                r.tenants,
-                static_cast<unsigned long long>(m.totalOps),
-                static_cast<unsigned long long>(
-                    m.peakAggLiveAllocs),
-                static_cast<unsigned long long>(m.peakAggLiveBytes),
-                static_cast<unsigned long long>(m.engine.epochs),
-                static_cast<unsigned long long>(
-                    m.engine.sweep.pagesSwept),
-                static_cast<unsigned long long>(
-                    m.engine.sweep.capsRevoked),
-                r.bench.sweepOverhead, r.bench.shadowOverhead,
-                r.bench.trafficOverheadPct, r.bench.achievedScanRate,
-                r.wallSec,
-                static_cast<double>(m.totalOps) / r.wallSec,
-                r.bench.mutatorOpsPerSec,
-                i + 1 < rows.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n");
-        // Arrival/departure overhead rows from the churn phase: one
-        // row per lifecycle transition, wall_sec being the host cost
-        // of the spawn (region + allocator setup) or retire (epoch
-        // drain + PTE unmap + bulk page release).
-        std::fprintf(json, "  \"churn\": {\n");
-        std::fprintf(json, "    \"cycles\": %u,\n", kChurnCycles);
-        std::fprintf(json, "    \"spawns\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         churn_bench.run.spawns));
-        std::fprintf(json, "    \"retires\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         churn_bench.run.retires));
-        std::fprintf(json, "    \"slots_reused\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         churn_bench.run.slotsReused));
-        std::fprintf(json, "    \"reuse_bit_identical\": %s,\n",
-                     churn_identical ? "true" : "false");
-        std::fprintf(json, "    \"deterministic\": %s,\n",
-                     churn_deterministic ? "true" : "false");
-        std::fprintf(json, "    \"events\": [\n");
-        const auto &events = churn_bench.run.lifecycle;
-        for (size_t i = 0; i < events.size(); ++i) {
-            const tenant::LifecycleEvent &ev = events[i];
-            std::fprintf(
-                json,
-                "      {\"event\": \"%s\", \"tenant_id\": %llu, "
-                "\"slot\": %zu, \"step\": %llu, "
-                "\"reused_slot\": %s, \"pages_released\": %llu, "
-                "\"wall_sec\": %.6g}%s\n",
-                ev.kind == tenant::LifecycleEvent::Kind::Spawn
-                    ? "spawn" : "retire",
-                static_cast<unsigned long long>(ev.tenantId),
-                ev.slot,
-                static_cast<unsigned long long>(ev.step),
-                ev.reusedSlot ? "true" : "false",
-                static_cast<unsigned long long>(ev.pagesReleased),
-                ev.wallSec, i + 1 < events.size() ? "," : "");
-        }
-        std::fprintf(json, "    ]\n");
-        std::fprintf(json, "  },\n");
-        // Mixed-policy phase: per-tenant sweep overhead, reported
-        // separately per policy.
-        std::fprintf(json, "  \"mixed_policy\": {\n");
-        std::fprintf(json, "    \"deterministic\": %s,\n",
-                     mixed_deterministic ? "true" : "false");
-        std::fprintf(json, "    \"tenants\": [\n");
-        for (size_t i = 0;
-             i < mixed_bench.run.tenants.size() && i < 2; ++i) {
-            const tenant::TenantResult &t = mixed_bench.run.tenants[i];
-            std::fprintf(
-                json,
-                "      {\"policy\": \"%s\", \"epochs\": %llu, "
-                "\"slices\": %llu, \"caps_revoked\": %llu, "
-                "\"sweep_overhead\": %.6g}%s\n",
-                mixed_policies[i],
-                static_cast<unsigned long long>(
-                    t.run.revoker.epochs),
-                static_cast<unsigned long long>(
-                    t.run.revoker.slices),
-                static_cast<unsigned long long>(
-                    t.run.revoker.sweep.capsRevoked),
-                i < mixed_bench.tenantSweepOverhead.size()
-                    ? mixed_bench.tenantSweepOverhead[i] : 0.0,
-                i + 1 < mixed_bench.run.tenants.size() && i + 1 < 2
-                    ? "," : "");
-        }
-        std::fprintf(json, "    ]\n");
-        std::fprintf(json, "  },\n");
-        std::fprintf(json, "  \"deterministic\": %s,\n",
-                     det_fingerprint_a == det_fingerprint_b
-                         ? "true" : "false");
-        std::fprintf(json, "  \"single_tenant_match\": %s,\n",
-                     single_match ? "true" : "false");
-        std::fprintf(json, "  \"ok\": %s\n", ok ? "true" : "false");
-        std::fprintf(json, "}\n");
-        std::fclose(json);
-        std::printf("wrote BENCH_tenant.json\n");
+    using Layout = stats::JsonWriter::Layout;
+    stats::JsonWriter json("BENCH_tenant.json");
+    json.field("bench", "tenant_scale").field("agg_alloc_target", agg_allocs)
+        .beginArray("rows", Layout::Block);
+    for (const Row &r : rows) {
+        const tenant::MultiTenantResult &m = r.bench.run;
+        json.beginObject(Layout::Inline)
+            .field("tenants", r.tenants).field("ops", m.totalOps)
+            .field("peak_live_allocs", m.peakAggLiveAllocs)
+            .field("peak_live_bytes", m.peakAggLiveBytes)
+            .field("epochs", m.engine.epochs)
+            .field("pages_swept", m.engine.sweep.pagesSwept)
+            .field("caps_revoked", m.engine.sweep.capsRevoked)
+            .field("sweep_overhead", r.bench.sweepOverhead)
+            .field("shadow_overhead", r.bench.shadowOverhead)
+            .field("traffic_pct", r.bench.trafficOverheadPct)
+            .field("scan_rate", r.bench.achievedScanRate)
+            .field("wall_sec", r.wallSec)
+            .field("ops_per_sec", static_cast<double>(m.totalOps) / r.wallSec)
+            .field("mutator_ops_per_sec", r.bench.mutatorOpsPerSec)
+            .end();
     }
+    json.end();
+    // Arrival/departure overhead rows from the churn phase: one row
+    // per lifecycle transition, wall_sec being the host cost of the
+    // spawn (region + allocator setup) or retire (epoch drain + PTE
+    // unmap + bulk page release).
+    json.beginObject("churn", Layout::Block).field("cycles", kChurnCycles)
+        .field("spawns", churn_bench.run.spawns)
+        .field("retires", churn_bench.run.retires)
+        .field("slots_reused", churn_bench.run.slotsReused)
+        .field("reuse_bit_identical", churn_identical)
+        .field("deterministic", churn_deterministic)
+        .beginArray("events", Layout::Block);
+    for (const tenant::LifecycleEvent &ev : churn_bench.run.lifecycle) {
+        const bool spawn = ev.kind == tenant::LifecycleEvent::Kind::Spawn;
+        json.beginObject(Layout::Inline)
+            .field("event", spawn ? "spawn" : "retire")
+            .field("tenant_id", ev.tenantId).field("slot", ev.slot)
+            .field("step", ev.step).field("reused_slot", ev.reusedSlot)
+            .field("pages_released", ev.pagesReleased)
+            .field("wall_sec", ev.wallSec).end();
+    }
+    json.end().end();
+    // Mixed-policy phase: per-tenant sweep overhead, reported
+    // separately per policy.
+    json.beginObject("mixed_policy", Layout::Block)
+        .field("deterministic", mixed_deterministic)
+        .beginArray("tenants", Layout::Block);
+    for (size_t i = 0; i < mixed_bench.run.tenants.size() && i < 2;
+         ++i) {
+        const revoke::EngineTotals &rs =
+            mixed_bench.run.tenants[i].run.revoker;
+        json.beginObject(Layout::Inline)
+            .field("policy", mixed_policies[i])
+            .field("epochs", rs.epochs).field("slices", rs.slices)
+            .field("caps_revoked", rs.sweep.capsRevoked)
+            .field("sweep_overhead",
+                   i < mixed_bench.tenantSweepOverhead.size()
+                       ? mixed_bench.tenantSweepOverhead[i] : 0.0)
+            .end();
+    }
+    json.end().end()
+        .field("deterministic", det_fingerprint_a == det_fingerprint_b)
+        .field("single_tenant_match", single_match).field("ok", ok)
+        .close();
+    std::printf("wrote BENCH_tenant.json\n");
 
     if (ok) {
         std::printf("OK: deterministic replay, %llu+ aggregate live "

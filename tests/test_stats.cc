@@ -1,13 +1,22 @@
 /**
  * @file
- * Unit tests for counters, running summaries, and table rendering.
+ * Unit tests for counters, running summaries, table rendering and
+ * the bench-artifact JSON writer.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <sstream>
 
 #include "stats/counters.hh"
+#include "stats/json.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 #include "support/logging.hh"
@@ -168,6 +177,194 @@ TEST(TextTable, ColumnsAligned)
         prev = len;
         start = nl + 1;
     }
+}
+
+/** Each JsonWriter test writes into its own scratch directory. */
+class JsonWriterTest : public ::testing::Test
+{
+  protected:
+    using Layout = JsonWriter::Layout;
+
+    void
+    SetUp() override
+    {
+        dir_ = std::filesystem::temp_directory_path() /
+               ("cherivoke_json_" + std::to_string(::getpid()));
+        std::filesystem::create_directories(dir_);
+        path_ = (dir_ / "BENCH_test.json").string();
+    }
+
+    void
+    TearDown() override
+    {
+        std::filesystem::remove_all(dir_);
+    }
+
+    std::string
+    written() const
+    {
+        std::ifstream in(path_);
+        std::ostringstream text;
+        text << in.rdbuf();
+        return text.str();
+    }
+
+    std::filesystem::path dir_;
+    std::string path_;
+};
+
+TEST_F(JsonWriterTest, NestedBlockAndInlineContainers)
+{
+    JsonWriter json(path_);
+    json.field("bench", "demo");
+    json.beginArray("rows", Layout::Block);
+    json.beginObject(Layout::Inline);
+    json.field("n", 1u);
+    json.field("ok", true);
+    json.end();
+    json.beginObject(Layout::Inline);
+    json.field("n", uint64_t{2});
+    json.beginArray("cells", Layout::Block);
+    json.beginObject(Layout::Inline);
+    json.field("x", 0.5);
+    json.end();
+    json.end();
+    json.end();
+    json.end();
+    json.beginObject("summary", Layout::Block);
+    json.field("ok", false);
+    json.beginObject("inner", Layout::Inline);
+    json.field("a", size_t{1});
+    json.field("b", std::string("c"));
+    json.end();
+    json.end();
+    json.beginArray("names", Layout::Inline);
+    json.value("a");
+    json.value("b");
+    json.end();
+    json.close();
+    EXPECT_EQ(written(),
+              "{\n"
+              "  \"bench\": \"demo\",\n"
+              "  \"rows\": [\n"
+              "    {\"n\": 1, \"ok\": true},\n"
+              "    {\"n\": 2, \"cells\": [\n"
+              "      {\"x\": 0.5}\n"
+              "    ]}\n"
+              "  ],\n"
+              "  \"summary\": {\n"
+              "    \"ok\": false,\n"
+              "    \"inner\": {\"a\": 1, \"b\": \"c\"}\n"
+              "  },\n"
+              "  \"names\": [\"a\", \"b\"]\n"
+              "}\n");
+}
+
+TEST_F(JsonWriterTest, EmptyContainers)
+{
+    JsonWriter json(path_);
+    json.beginArray("block_array", Layout::Block);
+    json.end();
+    json.beginObject("block_object", Layout::Block);
+    json.end();
+    json.beginArray("inline_array", Layout::Inline);
+    json.end();
+    json.beginObject("inline_object", Layout::Inline);
+    json.end();
+    json.close();
+    EXPECT_EQ(written(), "{\n"
+                         "  \"block_array\": [],\n"
+                         "  \"block_object\": {},\n"
+                         "  \"inline_array\": [],\n"
+                         "  \"inline_object\": {}\n"
+                         "}\n");
+
+    JsonWriter empty(path_);
+    empty.close();
+    EXPECT_EQ(written(), "{}\n");
+}
+
+TEST_F(JsonWriterTest, EscapesStringsAndKeys)
+{
+    JsonWriter json(path_);
+    json.field("k\"ey", "quote\" back\\ nl\n tab\t bell\x07 us\x1f");
+    json.close();
+    EXPECT_EQ(written(),
+              "{\n"
+              "  \"k\\\"ey\": \"quote\\\" back\\\\ nl\\u000a "
+              "tab\\u0009 bell\\u0007 us\\u001f\"\n"
+              "}\n");
+}
+
+TEST_F(JsonWriterTest, UnsignedIntegersExact)
+{
+    JsonWriter json(path_);
+    json.field("max", std::numeric_limits<uint64_t>::max());
+    json.field("u32", std::numeric_limits<uint32_t>::max());
+    json.field("zero", 0u);
+    json.close();
+    EXPECT_EQ(written(), "{\n"
+                         "  \"max\": 18446744073709551615,\n"
+                         "  \"u32\": 4294967295,\n"
+                         "  \"zero\": 0\n"
+                         "}\n");
+}
+
+TEST_F(JsonWriterTest, DoublesSixOrSeventeenDigits)
+{
+    JsonWriter json(path_);
+    json.field("third", 1.0 / 3.0);
+    json.field("third17", 1.0 / 3.0, 17);
+    json.field("big", 2.5e6);
+    json.field("small", 1.25e-7);
+    json.field("whole", 42.0);
+    json.field("inf", std::numeric_limits<double>::infinity());
+    json.field("nan", std::nan(""));
+    json.close();
+    EXPECT_EQ(written(), "{\n"
+                         "  \"third\": 0.333333,\n"
+                         "  \"third17\": 0.33333333333333331,\n"
+                         "  \"big\": 2.5e+06,\n"
+                         "  \"small\": 1.25e-07,\n"
+                         "  \"whole\": 42,\n"
+                         "  \"inf\": null,\n"
+                         "  \"nan\": null\n"
+                         "}\n");
+}
+
+TEST_F(JsonWriterTest, DirectoryPathIsFatal)
+{
+    const std::string dir = dir_.string();
+    try {
+        JsonWriter json(dir);
+        FAIL() << "opening a directory for writing must fail";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(dir), std::string::npos)
+            << err.what();
+    }
+}
+
+TEST_F(JsonWriterTest, FailedFlushIsFatal)
+{
+    // /dev/full accepts the open and the buffered writes; the flush
+    // at close() reports ENOSPC.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    JsonWriter json("/dev/full");
+    json.field("ok", true);
+    EXPECT_THROW(json.close(), FatalError);
+}
+
+TEST_F(JsonWriterTest, MisuseIsAPanic)
+{
+    JsonWriter json(path_);
+    json.beginArray("rows", Layout::Block);
+    EXPECT_THROW(json.field("key_in_array", true), PanicError);
+    EXPECT_THROW(json.close(), PanicError);
+    json.end();
+    EXPECT_THROW(json.value("element_in_object"), PanicError);
+    json.close();
+    EXPECT_THROW(json.end(), PanicError);
 }
 
 } // namespace

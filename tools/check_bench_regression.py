@@ -8,10 +8,11 @@ Usage:
     check_bench_regression.py --self-test
 
 BASELINE_DIR holds the previous run's BENCH_*.json files (any nesting
-— artifact downloads place each file in its own subdirectory); the
+— artifact downloads place each artifact in its own subdirectory); the
 newest match wins when a name appears more than once. FRESH_DIR holds
 this run's files. NAMEs limit the comparison (e.g. "BENCH_tenant");
-default is every BENCH_*.json present in FRESH_DIR.
+default is every BENCH_*.json present in FRESH_DIR or anywhere under
+BASELINE_DIR.
 
 Wall-clock-derived fields are stripped from both sides before
 comparing via the declarative STRIP_PATTERNS list below; every
@@ -30,8 +31,11 @@ slack is only for ad-hoc comparisons).
 as test_check_bench_regression).
 
 Exit status: 0 = no drift (or nothing to compare), 1 = drift,
-2 = usage error. A missing baseline for a fresh file is a skip, not a
-failure, so the first run after adding a bench passes.
+2 = usage error. The check fails closed: an artifact that does not
+parse, and one this run did not produce (named on the command line,
+or present in the baseline), count as drift. Only a missing baseline
+for a fresh file is a skip, so the first run after adding a bench
+passes.
 """
 
 import json
@@ -159,7 +163,8 @@ def compare_dirs(baseline_dir, fresh_dir, names, tolerance=0.0):
     for name in names:
         fresh_path = fresh_dir / name
         if not fresh_path.is_file():
-            print("%-20s SKIP (not produced by this run)" % name)
+            drift = True
+            print("%-20s MISSING (not produced by this run)" % name)
             continue
         base_path = find_baseline(baseline_dir, name)
         if base_path is None:
@@ -171,7 +176,8 @@ def compare_dirs(baseline_dir, fresh_dir, names, tolerance=0.0):
             new = strip_volatile(
                 json.loads(fresh_path.read_text()), is_volatile)
         except (OSError, ValueError) as err:
-            print("%-20s SKIP (unreadable: %s)" % (name, err))
+            drift = True
+            print("%-20s UNREADABLE (%s)" % (name, err))
             continue
         lines = []
         diff("", old, new, lines, tolerance)
@@ -319,8 +325,48 @@ def self_test():
                 self.assertTrue(compare_dirs(
                     root / "base", root / "fresh", ["BENCH_x.json"]))
                 # No baseline: a skip, not a failure.
+                (root / "fresh" / "BENCH_y.json").write_text('{"a": 1}')
                 self.assertFalse(compare_dirs(
                     root / "base", root / "fresh", ["BENCH_y.json"]))
+
+        def test_unreadable_fresh_artifact_is_drift(self):
+            with tempfile.TemporaryDirectory() as tmp:
+                root = pathlib.Path(tmp)
+                (root / "base").mkdir()
+                (root / "fresh").mkdir()
+                (root / "base" / "BENCH_x.json").write_text(
+                    '{"caps": 5}')
+                (root / "fresh" / "BENCH_x.json").write_text(
+                    '{"caps": 5,')
+                self.assertTrue(compare_dirs(
+                    root / "base", root / "fresh", ["BENCH_x.json"]))
+
+        def test_named_missing_artifact_is_drift(self):
+            with tempfile.TemporaryDirectory() as tmp:
+                root = pathlib.Path(tmp)
+                (root / "base").mkdir()
+                (root / "fresh").mkdir()
+                self.assertTrue(compare_dirs(
+                    root / "base", root / "fresh", ["BENCH_gone.json"]))
+                self.assertEqual(main(
+                    ["prog", str(root / "base"), str(root / "fresh"),
+                     "BENCH_gone"]), 1)
+
+        def test_default_mode_checks_baseline_only_artifacts(self):
+            with tempfile.TemporaryDirectory() as tmp:
+                root = pathlib.Path(tmp)
+                (root / "base" / "BENCH_all").mkdir(parents=True)
+                (root / "fresh").mkdir()
+                for name in ("BENCH_x.json", "BENCH_y.json"):
+                    (root / "base" / "BENCH_all" / name).write_text(
+                        '{"caps": 5}')
+                (root / "fresh" / "BENCH_x.json").write_text(
+                    '{"caps": 5}')
+                argv = ["prog", str(root / "base"), str(root / "fresh")]
+                self.assertEqual(main(argv), 1)
+                (root / "fresh" / "BENCH_y.json").write_text(
+                    '{"caps": 5}')
+                self.assertEqual(main(argv), 0)
 
     suite = unittest.TestSuite()
     for case in (StripListTest, DiffTest, CompareDirsTest):
@@ -351,14 +397,18 @@ def main(argv):
     names = [n if n.endswith(".json") else n + ".json"
              for n in argv[3:]]
     if not names:
-        names = sorted(p.name for p in fresh_dir.glob("BENCH_*.json"))
+        names = sorted(
+            {p.name for p in fresh_dir.glob("BENCH_*.json")}
+            | {p.name for p in baseline_dir.rglob("BENCH_*.json")})
     if not names:
-        print("no BENCH_*.json in %s; nothing to compare" % fresh_dir)
+        print("no BENCH_*.json in %s or %s; nothing to compare"
+              % (fresh_dir, baseline_dir))
         return 0
 
     if compare_dirs(baseline_dir, fresh_dir, names, tolerance):
-        print("deterministic bench fields drifted from the previous "
-              "run; if intended, this run's artifacts become the new "
+        print("bench artifacts drifted from the previous run (changed "
+              "deterministic fields, or a missing or unreadable file); "
+              "if intended, this run's artifacts become the new "
               "baseline once merged")
         return 1
     return 0
