@@ -226,8 +226,8 @@ incrementalAblation()
              std::to_string(steps),
              stats::TextTable::num(max_pause, 3),
              stats::TextTable::num(total, 3),
-             std::to_string(image.space.memory().counters().value(
-                 "mem.load_barrier_strips"))});
+             std::to_string(
+                 image.space.memory().counters().loadBarrierStrips)});
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("Smaller steps bound the mutator pause at slightly "
@@ -238,8 +238,8 @@ incrementalAblation()
 
 } // namespace
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems("Ablations: parallelism, work elimination, "
                         "strict mode, incremental epochs");
@@ -249,4 +249,10 @@ main()
     strictModeAblation();
     incrementalAblation();
     return 0;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "stats/summary.hh"
 #include "stats/table.hh"
 #include "support/rng.hh"
 
@@ -70,8 +69,8 @@ sweepIfDue(alloc::CherivokeAllocator &heap, uint64_t &sweeps)
 
 } // namespace
 
-int
-main()
+static int
+benchMain()
 {
     const uint64_t live_target = static_cast<uint64_t>(
         envI64("CHERIVOKE_ALLOC_LIVE", 1000000));
@@ -143,8 +142,7 @@ main()
         ok = false;
     }
 
-    const stats::MutatorPathSummary mutator =
-        stats::summarizeMutatorPath(heap.dl().counters());
+    const alloc::AllocCounters mutator = heap.dl().counters();
 
     // ---- Phase D: the tenant_scale mutator loop -----------------
     double tenant_wall = 0, tenant_ops_per_sec = 0;
@@ -224,4 +222,10 @@ main()
     std::printf(ok ? "OK: heap valid after every phase\n"
                    : "FAILED: see gates above\n");
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

@@ -271,8 +271,8 @@ writeJson(const Pass &pass, bool deterministic, bool ok)
 
 } // namespace
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems("Backend comparison: sweep vs colored "
                         "capabilities vs inline object IDs");
@@ -360,4 +360,10 @@ main()
     std::printf(ok ? "OK: all backend gates passed\n"
                    : "FAILED: see gates above\n");
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

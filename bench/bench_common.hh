@@ -2,7 +2,8 @@
  * @file
  * Shared helpers for the benchmark harness: the table 1 system
  * banner, default experiment settings used across figures, the host
- * clock, the multi-tenant slice profile, and the BENCH_*.json writer.
+ * clock, the multi-tenant slice profile, the BENCH_*.json writer,
+ * and the main() wrapper that turns fatal() into exit status 1.
  */
 
 #ifndef CHERIVOKE_BENCH_BENCH_COMMON_HH
@@ -11,15 +12,38 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "stats/json.hh"
 #include "support/env.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
 #include "sim/experiment.hh"
+#include "tenant/trace_codec.hh"
 
 namespace cherivoke {
 namespace bench {
+
+/**
+ * Run a bench's body and return its exit status. A fatal() (a bad
+ * CHERIVOKE_* value, an unwritable artifact) becomes a plain error:
+ * stdout is flushed so the tables printed so far survive, what() goes
+ * to stderr, and the bench exits 1 instead of aborting. Every bench's
+ * main() goes through here.
+ */
+template <typename Body>
+int
+runBench(Body &&body)
+{
+    try {
+        return body();
+    } catch (const FatalError &e) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
+}
 
 /** Print the table 1 system banner every bench leads with. */
 inline void
@@ -74,6 +98,65 @@ sliceProfile(unsigned tenants, uint64_t agg_allocs)
         kAggFreeRateMiBps * MiB / kMeanAllocBytes / tenants;
     p.appDramMiBps = 2000.0 / tenants; //!< per-tenant app traffic
     return p;
+}
+
+/**
+ * Per-tenant statistics fingerprint: everything a tenant's replay
+ * produces (including its mutator fingerprint), minus its identity
+ * and host wall-clock. Two tenants replaying the same trace under
+ * the same config — a fresh slot and a reused one, a fault survivor
+ * and its control run — must match byte for byte.
+ */
+inline std::string
+tenantFingerprint(const tenant::TenantResult &t)
+{
+    std::string out;
+    char buf[256];
+    auto add = [&](const char *key, double v) {
+        std::snprintf(buf, sizeof(buf), "%s=%.17g\n", key, v);
+        out += buf;
+    };
+    auto addU = [&](const char *key, uint64_t v) {
+        std::snprintf(buf, sizeof(buf), "%s=%llu\n", key,
+                      static_cast<unsigned long long>(v));
+        out += buf;
+    };
+    addU("ops_applied", t.opsApplied);
+    addU("ops_total", t.opsTotal);
+    addU("allocs", t.run.allocCalls);
+    addU("frees", t.run.freeCalls);
+    addU("freed_bytes", t.run.freedBytes);
+    addU("ptr_stores", t.run.ptrStores);
+    addU("peak_live_bytes", t.run.peakLiveBytes);
+    addU("peak_live_allocs", t.run.peakLiveAllocs);
+    addU("peak_quarantine", t.run.peakQuarantineBytes);
+    addU("peak_footprint", t.run.peakFootprintBytes);
+    addU("epochs", t.run.revoker.epochs);
+    addU("slices", t.run.revoker.slices);
+    addU("paint_ops", t.run.revoker.paint.total());
+    addU("pages_swept", t.run.revoker.sweep.pagesSwept);
+    addU("lines_swept", t.run.revoker.sweep.linesSwept);
+    addU("caps_examined", t.run.revoker.sweep.capsExamined);
+    addU("caps_revoked", t.run.revoker.sweep.capsRevoked);
+    addU("internal_frees", t.run.revoker.internalFrees);
+    addU("bytes_released", t.run.revoker.bytesReleased);
+    addU("mutator_fp", t.mutator.fingerprint());
+    add("virtual_sec", t.run.virtualSeconds);
+    add("page_density", t.run.pageDensity);
+    add("line_density", t.run.lineDensity);
+    return out;
+}
+
+/** Round every tenant trace through the binary codec: record once,
+ *  replay exactly. */
+inline std::vector<workload::Trace>
+codecRoundTrip(const std::vector<workload::Trace> &traces)
+{
+    std::vector<workload::Trace> out;
+    out.reserve(traces.size());
+    for (const workload::Trace &t : traces)
+        out.push_back(tenant::decodeTrace(tenant::encodeTrace(t)));
+    return out;
 }
 
 /**

@@ -52,9 +52,10 @@
 
 #include "bench_common.hh"
 #include "support/fault.hh"
-#include "tenant/trace_codec.hh"
 
 using namespace cherivoke;
+using bench::codecRoundTrip;
+using bench::tenantFingerprint;
 
 namespace {
 
@@ -87,47 +88,6 @@ baseConfig()
     cfg.scale = 1.0;
     cfg.durationSec = 1.0;
     return cfg;
-}
-
-/** Per-tenant statistics fingerprint (identity and host wall-clock
- *  excluded); survivors are "bit-identical" when these match. */
-std::string
-tenantFingerprint(const tenant::TenantResult &t)
-{
-    std::string out;
-    char buf[256];
-    auto add = [&](const char *key, double v) {
-        std::snprintf(buf, sizeof(buf), "%s=%.17g\n", key, v);
-        out += buf;
-    };
-    auto addU = [&](const char *key, uint64_t v) {
-        std::snprintf(buf, sizeof(buf), "%s=%llu\n", key,
-                      static_cast<unsigned long long>(v));
-        out += buf;
-    };
-    addU("ops_applied", t.opsApplied);
-    addU("allocs", t.run.allocCalls);
-    addU("frees", t.run.freeCalls);
-    addU("freed_bytes", t.run.freedBytes);
-    addU("ptr_stores", t.run.ptrStores);
-    addU("peak_live_bytes", t.run.peakLiveBytes);
-    addU("peak_live_allocs", t.run.peakLiveAllocs);
-    addU("peak_quarantine", t.run.peakQuarantineBytes);
-    addU("peak_footprint", t.run.peakFootprintBytes);
-    addU("epochs", t.run.revoker.epochs);
-    addU("slices", t.run.revoker.slices);
-    addU("paint_ops", t.run.revoker.paint.total());
-    addU("pages_swept", t.run.revoker.sweep.pagesSwept);
-    addU("lines_swept", t.run.revoker.sweep.linesSwept);
-    addU("caps_examined", t.run.revoker.sweep.capsExamined);
-    addU("caps_revoked", t.run.revoker.sweep.capsRevoked);
-    addU("internal_frees", t.run.revoker.internalFrees);
-    addU("bytes_released", t.run.revoker.bytesReleased);
-    addU("mutator_fp", t.mutator.fingerprint());
-    add("virtual_sec", t.run.virtualSeconds);
-    add("page_density", t.run.pageDensity);
-    add("line_density", t.run.lineDensity);
-    return out;
 }
 
 /** The fault log rendered without its wall-clock field. */
@@ -167,16 +127,6 @@ findTenant(const tenant::MultiTenantResult &m, uint64_t id)
         if (t.tenantId == id)
             return &t;
     return nullptr;
-}
-
-std::vector<workload::Trace>
-codecRoundTrip(const std::vector<workload::Trace> &traces)
-{
-    std::vector<workload::Trace> out;
-    out.reserve(traces.size());
-    for (const workload::Trace &t : traces)
-        out.push_back(tenant::decodeTrace(tenant::encodeTrace(t)));
-    return out;
 }
 
 struct Cell
@@ -702,8 +652,8 @@ fnv1a(const std::string &text)
 
 } // namespace
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems("Fault-containment chaos matrix "
                         "(bench/fault_matrix)");
@@ -850,4 +800,10 @@ main()
         std::printf("FAILED: see gates above\n");
     }
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

@@ -12,8 +12,8 @@
 
 using namespace cherivoke;
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems(
         "Figure 10: Off-core-traffic overhead (%)");
@@ -40,4 +40,10 @@ main()
                 "Paper: max ~16%% (xalancbmk), minimal for "
                 "non-allocating workloads.\n");
     return 0;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

@@ -17,8 +17,8 @@
 
 using namespace cherivoke;
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems("Figure 5: CHERIvoke vs state of the art "
                         "(25% heap overhead)");
@@ -85,4 +85,10 @@ main()
                 "paper plots (digitized);\nCHERIvoke(ours) is "
                 "measured on this repository's simulator.\n");
     return 0;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

@@ -15,8 +15,8 @@
 
 using namespace cherivoke;
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems("Figure 6: Decomposition of run-time "
                         "overheads (25% heap overhead)");
@@ -57,4 +57,10 @@ main()
                 "(ScanRate x QuarantineFraction), evaluated on "
                 "measured inputs (0 when no sweeps ran).\n");
     return 0;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

@@ -26,8 +26,8 @@ const char *kBenchmarks[] = {"ffmpeg", "astar",   "dealII",
 
 } // namespace
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems("Figure 7: Sweep-loop DRAM bandwidth by "
                         "kernel (MiB/s)");
@@ -77,4 +77,10 @@ main()
                 100 * geomean(unrolled_col) / peak,
                 100 * geomean(vec_col) / peak);
     return 0;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

@@ -82,8 +82,8 @@ sweepTimeAtDensity(double density, bool use_pte, bool use_tags,
 
 } // namespace
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems("Figure 8: Hardware work-elimination "
                         "(PTE CapDirty + CLoadTags)");
@@ -153,4 +153,10 @@ main()
                 "§6.3) so its curve sits above the ideal at low "
                 "density.\n");
     return 0;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

@@ -13,8 +13,8 @@
 
 using namespace cherivoke;
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems("Figure 9: Execution time vs heap overhead "
                         "(xalancbmk, omnetpp)");
@@ -45,4 +45,10 @@ main()
                 "xalancbmk, less temporal fragmentation in the "
                 "cache, §6.4).\n");
     return 0;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

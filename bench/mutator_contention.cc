@@ -149,8 +149,8 @@ rampTrace(uint64_t ops_target)
 
 } // namespace
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems(
         "Mutator contention: batched remote-free message passing");
@@ -331,4 +331,10 @@ main()
         std::printf("FAILED: see gates above\n");
     }
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

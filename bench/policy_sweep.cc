@@ -113,8 +113,8 @@ addFingerprint(std::string &out, const std::string &benchmark,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     if (argc > 1 && std::strcmp(argv[1], "--list-policies") == 0)
         return listPolicies();
@@ -282,4 +282,10 @@ main(int argc, char **argv)
                      "determinism all hold\n"
                    : "FAILED: see the tables above\n");
     return ok ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return bench::runBench([&] { return benchMain(argc, argv); });
 }

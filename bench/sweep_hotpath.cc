@@ -87,8 +87,8 @@ struct SweepRow
 
 } // namespace
 
-int
-main()
+static int
+benchMain()
 {
     bench::printKnobs();
 
@@ -330,4 +330,10 @@ main()
                     : "FAILED: a configuration diverged from the "
                       "serial reference\n");
     return all_equal && perf_ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

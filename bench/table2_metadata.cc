@@ -16,8 +16,8 @@
 
 using namespace cherivoke;
 
-int
-main()
+static int
+benchMain()
 {
     bench::printSystems(
         "Table 2: Deallocation metadata from applications");
@@ -64,4 +64,10 @@ main()
                 "reference scale; paper columns are table 2)\n",
                 bench::defaultConfig().scale);
     return 0;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

@@ -56,9 +56,10 @@
 
 #include "bench_common.hh"
 #include "stats/table.hh"
-#include "tenant/trace_codec.hh"
 
 using namespace cherivoke;
+using bench::codecRoundTrip;
+using bench::tenantFingerprint;
 
 namespace {
 
@@ -158,67 +159,10 @@ statsFingerprint(const sim::MultiTenantBenchResult &r)
     return out;
 }
 
-/**
- * Per-tenant statistics fingerprint: everything a tenant's replay
- * produces, minus its identity (name/id). Two tenants replaying the
- * same trace under the same config — one in a fresh slot, one in a
- * reused slot — must match byte for byte.
- */
-std::string
-tenantFingerprint(const tenant::TenantResult &t)
-{
-    std::string out;
-    char buf[256];
-    auto add = [&](const char *key, double v) {
-        std::snprintf(buf, sizeof(buf), "%s=%.17g\n", key, v);
-        out += buf;
-    };
-    auto addU = [&](const char *key, uint64_t v) {
-        std::snprintf(buf, sizeof(buf), "%s=%llu\n", key,
-                      static_cast<unsigned long long>(v));
-        out += buf;
-    };
-    addU("ops_applied", t.opsApplied);
-    addU("ops_total", t.opsTotal);
-    addU("allocs", t.run.allocCalls);
-    addU("frees", t.run.freeCalls);
-    addU("freed_bytes", t.run.freedBytes);
-    addU("ptr_stores", t.run.ptrStores);
-    addU("peak_live_bytes", t.run.peakLiveBytes);
-    addU("peak_live_allocs", t.run.peakLiveAllocs);
-    addU("peak_quarantine", t.run.peakQuarantineBytes);
-    addU("peak_footprint", t.run.peakFootprintBytes);
-    addU("epochs", t.run.revoker.epochs);
-    addU("slices", t.run.revoker.slices);
-    addU("paint_ops", t.run.revoker.paint.total());
-    addU("pages_swept", t.run.revoker.sweep.pagesSwept);
-    addU("lines_swept", t.run.revoker.sweep.linesSwept);
-    addU("caps_examined", t.run.revoker.sweep.capsExamined);
-    addU("caps_revoked", t.run.revoker.sweep.capsRevoked);
-    addU("internal_frees", t.run.revoker.internalFrees);
-    addU("bytes_released", t.run.revoker.bytesReleased);
-    add("virtual_sec", t.run.virtualSeconds);
-    add("page_density", t.run.pageDensity);
-    add("line_density", t.run.lineDensity);
-    return out;
-}
-
-/** Round every tenant trace through the binary codec: record once,
- *  replay exactly. */
-std::vector<workload::Trace>
-codecRoundTrip(const std::vector<workload::Trace> &traces)
-{
-    std::vector<workload::Trace> out;
-    out.reserve(traces.size());
-    for (const workload::Trace &t : traces)
-        out.push_back(tenant::decodeTrace(tenant::encodeTrace(t)));
-    return out;
-}
-
 } // namespace
 
-int
-main()
+static int
+benchMain()
 {
     const uint64_t agg_allocs = static_cast<uint64_t>(
         envI64("CHERIVOKE_TENANT_AGG_ALLOCS", 1000000));
@@ -591,4 +535,10 @@ main()
         std::printf("FAILED: see gates above\n");
     }
     return ok ? 0 : 1;
+}
+
+int
+main()
+{
+    return bench::runBench(benchMain);
 }

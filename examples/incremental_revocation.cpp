@@ -75,7 +75,6 @@ main()
     }
     revoker.finishEpoch();
 
-    const auto &counters = memory.counters();
     std::printf("epoch done: %d bounded pauses, %llu mutator ops "
                 "interleaved\n",
                 pauses,
@@ -85,7 +84,7 @@ main()
                 static_cast<unsigned long long>(
                     revoker.totals().sweep.capsRevoked),
                 static_cast<unsigned long long>(
-                    counters.value("mem.load_barrier_strips")));
+                    memory.counters().loadBarrierStrips));
 
     // Verify: no tagged reference to any freed object anywhere.
     uint64_t dangling = 0;

@@ -32,9 +32,9 @@
 #define CHERIVOKE_ALLOC_CHUNK_HH
 
 #include <cstdint>
+#include <string>
 
 #include "mem/tagged_memory.hh"
-#include "stats/counters.hh"
 #include "support/bitops.hh"
 
 namespace cherivoke {
@@ -83,22 +83,43 @@ constexpr uint64_t kChunkHeader = 16;
 constexpr uint64_t kMinChunk = 32;
 
 /**
- * Pre-resolved counters for the chunk-access fast path (cached
- * stats::Counter references — no string lookup per field access).
- * Optional: views constructed without one count nothing.
+ * Allocator event counts: plain fields that the owning DlAllocator
+ * (and its CherivokeAllocator facade) bump in place. The derived
+ * ratios say how hard the malloc/free fast path worked: mean
+ * bin-scan length should sit near 1 with the occupancy bitmap, the
+ * raw-span rate near 1 with the cached chunk spans, and the merge
+ * ratio is the §5.2 aggregation quality (internal frees per program
+ * free shrink as it rises).
  */
-struct ChunkAccessCounters
+struct AllocCounters
 {
-    stats::Counter *rawAccesses = nullptr;  //!< through the span
-    stats::Counter *slowAccesses = nullptr; //!< out-of-span fallback
+    uint64_t extends = 0;            //!< wilderness growths
+    uint64_t mallocCalls = 0;
+    uint64_t quarantineFrees = 0;
+    uint64_t headerRawAccesses = 0;  //!< chunk fields via host span
+    uint64_t headerSlowAccesses = 0; //!< out-of-span fallbacks
+    uint64_t binSearches = 0;        //!< takeFromBins invocations
+    uint64_t binScanSteps = 0;       //!< free-list nodes examined
+    uint64_t quarantineMerges = 0;   //!< runs merged per free, summed
+
+    /** Free-list nodes examined per takeFromBins call. */
+    double meanBinScanLength() const;
+    /** Fraction of chunk-metadata accesses served by the raw span. */
+    double rawSpanRate() const;
+    /** Runs merged per quarantined free (0..2). */
+    double mergeRatio() const;
+
+    /** Human-readable mutator-path block for bench reports. */
+    std::string render() const;
 };
 
 /** Reads and writes chunk metadata through the simulated memory. */
 class ChunkView
 {
   public:
+    /** @p counters may be null: the view then counts nothing. */
     ChunkView(mem::TaggedMemory &memory, uint64_t addr,
-              ChunkAccessCounters *counters = nullptr)
+              AllocCounters *counters = nullptr)
         : mem_(&memory), span_(memory.hostSpan(addr)), addr_(addr),
           counters_(counters)
     {}
@@ -184,11 +205,11 @@ class ChunkView
     {
         if (span_.covers(a, 8)) {
             if (counters_)
-                counters_->rawAccesses->increment();
+                ++counters_->headerRawAccesses;
             return span_.readU64(a);
         }
         if (counters_)
-            counters_->slowAccesses->increment();
+            ++counters_->headerSlowAccesses;
         return mem_->spanReadU64(a);
     }
 
@@ -197,19 +218,19 @@ class ChunkView
     {
         if (span_.covers(a, 8)) {
             if (counters_)
-                counters_->rawAccesses->increment();
+                ++counters_->headerRawAccesses;
             span_.writeU64(a, v);
             return;
         }
         if (counters_)
-            counters_->slowAccesses->increment();
+            ++counters_->headerSlowAccesses;
         mem_->spanWriteU64(a, v);
     }
 
     mem::TaggedMemory *mem_;
     mem::HostSpan span_;
     uint64_t addr_;
-    ChunkAccessCounters *counters_;
+    AllocCounters *counters_;
 };
 
 } // namespace alloc

@@ -1,6 +1,7 @@
 #include "alloc/dlmalloc.hh"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "support/bitops.hh"
 #include "support/fault.hh"
@@ -11,19 +12,60 @@ namespace alloc {
 
 using cap::Capability;
 
+double
+AllocCounters::meanBinScanLength() const
+{
+    return binSearches == 0 ? 0.0
+                            : static_cast<double>(binScanSteps) /
+                                  static_cast<double>(binSearches);
+}
+
+double
+AllocCounters::rawSpanRate() const
+{
+    const uint64_t total = headerRawAccesses + headerSlowAccesses;
+    return total == 0 ? 0.0
+                      : static_cast<double>(headerRawAccesses) /
+                            static_cast<double>(total);
+}
+
+double
+AllocCounters::mergeRatio() const
+{
+    return quarantineFrees == 0
+               ? 0.0
+               : static_cast<double>(quarantineMerges) /
+                     static_cast<double>(quarantineFrees);
+}
+
+std::string
+AllocCounters::render() const
+{
+    char buf[512];
+    std::snprintf(
+        buf, sizeof(buf),
+        "mutator path: %llu mallocs, %llu quarantine frees\n"
+        "  bin scan length   : %.3f nodes/search "
+        "(%llu steps / %llu searches)\n"
+        "  raw-span accesses : %.2f%% (%llu raw, %llu slow)\n"
+        "  quarantine merges : %.3f per free (%llu merges)\n",
+        static_cast<unsigned long long>(mallocCalls),
+        static_cast<unsigned long long>(quarantineFrees),
+        meanBinScanLength(),
+        static_cast<unsigned long long>(binScanSteps),
+        static_cast<unsigned long long>(binSearches),
+        rawSpanRate() * 100.0,
+        static_cast<unsigned long long>(headerRawAccesses),
+        static_cast<unsigned long long>(headerSlowAccesses),
+        mergeRatio(),
+        static_cast<unsigned long long>(quarantineMerges));
+    return buf;
+}
+
 DlAllocator::DlAllocator(mem::AddressSpace &space, DlConfig config)
     : space_(&space), mem_(&space.memory()), config_(config),
       bins_(kNumBins, 0)
 {
-    // Resolve the hot-path counters once; the fast paths bump them
-    // through these references instead of a string lookup per op.
-    chunk_counters_.rawAccesses =
-        &counters_.counter("alloc.header_raw_accesses");
-    chunk_counters_.slowAccesses =
-        &counters_.counter("alloc.header_slow_accesses");
-    c_bin_scan_steps_ = &counters_.counter("alloc.bin_scan_steps");
-    c_bin_searches_ = &counters_.counter("alloc.bin_searches");
-
     const uint64_t size = alignUp(config_.initialHeapBytes, kPageBytes);
     heap_base_ = space_->mmapHeap(size);
     heap_end_ = heap_base_ + size;
@@ -95,7 +137,7 @@ DlAllocator::extendTop(uint64_t min_bytes)
     heap_end_ += grow;
     ChunkView t = view(top_);
     t.setHeader(t.size() + grow, t.sizeWord() & kFlagMask);
-    c_extends_.in(counters_).increment();
+    ++counters_.extends;
 }
 
 uint64_t
@@ -118,7 +160,7 @@ DlAllocator::allocFromTop(uint64_t chunk_size)
 uint64_t
 DlAllocator::takeFromBins(uint64_t chunk_size)
 {
-    c_bin_searches_->increment();
+    ++counters_.binSearches;
     // The occupancy bitmap jumps straight to candidate bins; empty
     // bins cost nothing. Small bins are exact-fit (one size per
     // bin), so their head always satisfies the request; only large
@@ -131,14 +173,14 @@ DlAllocator::takeFromBins(uint64_t chunk_size)
             // Exact-size bin at or above the request: its head fits
             // by construction.
             const uint64_t addr = bins_[idx];
-            c_bin_scan_steps_->increment();
+            ++counters_.binScanSteps;
             unlinkChunk(addr);
             return addr;
         }
         uint64_t addr = bins_[idx];
         while (addr) {
             ChunkView c = view(addr);
-            c_bin_scan_steps_->increment();
+            ++counters_.binScanSteps;
             if (c.size() >= chunk_size) {
                 unlinkChunk(addr);
                 return addr;
@@ -160,7 +202,6 @@ DlAllocator::maybeSplit(uint64_t addr, uint64_t chunk_size)
         // The remainder inherits PINUSE = 1 (we are in use).
         view(addr + chunk_size).setHeader(orig - chunk_size, kPinuse);
         insertFreeChunk(addr + chunk_size, orig - chunk_size);
-        c_splits_.in(counters_).increment();
     } else {
         c.setHeader(orig, kCinuse | pinuse);
         // Next chunk borders an in-use chunk again.
@@ -258,7 +299,7 @@ DlAllocator::capForPayload(uint64_t payload, uint64_t requested) const
 Capability
 DlAllocator::malloc(uint64_t size)
 {
-    c_malloc_calls_.in(counters_).increment();
+    ++counters_.mallocCalls;
     const uint64_t requested = std::max<uint64_t>(size, 1);
     uint64_t payload_len = alignUp(requested, kGranuleBytes);
 
@@ -290,7 +331,6 @@ DlAllocator::malloc(uint64_t size)
 
     const uint64_t payload = addr + kChunkHeader;
     live_bytes_ += view(addr).size() - kChunkHeader;
-    c_allocated_bytes_.in(counters_).increment(view(addr).size());
     return capForPayload(payload, bounds_len);
 }
 
@@ -348,7 +388,6 @@ DlAllocator::checkedFreeView(uint64_t addr) const
 void
 DlAllocator::freeAddr(uint64_t payload)
 {
-    c_free_calls_.in(counters_).increment();
     const uint64_t addr = chunkOf(payload);
     ChunkView c = checkedFreeView(addr);
     live_bytes_ -= c.size() - kChunkHeader;
@@ -433,7 +472,7 @@ DlAllocator::usableSize(uint64_t payload) const
 DlAllocator::QuarantinedChunk
 DlAllocator::quarantineFree(const Capability &capability)
 {
-    c_quarantine_frees_.in(counters_).increment();
+    ++counters_.quarantineFrees;
     if (!capability.tag())
         heapFault(HeapFaultKind::WildFree,
                   "free() through an untagged capability");
@@ -460,7 +499,6 @@ DlAllocator::mergeQuarantinedRun(uint64_t addr, uint64_t new_size)
 void
 DlAllocator::internalFree(uint64_t addr, uint64_t size)
 {
-    c_internal_frees_.in(counters_).increment();
     ChunkView c = view(addr);
     CHERIVOKE_ASSERT(c.quarantined() && c.size() == size,
                      "(internalFree of non-quarantined run)");
@@ -499,7 +537,6 @@ DlAllocator::releaseColdPages()
     }
     // The wilderness chunk: only its header matters.
     release_interior(top_ + kMinChunk, heap_end_);
-    c_cold_pages_released_.in(counters_).increment(released);
     return released;
 }
 

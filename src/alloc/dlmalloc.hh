@@ -27,7 +27,6 @@
 #include "alloc/chunk.hh"
 #include "cap/capability.hh"
 #include "mem/addr_space.hh"
-#include "stats/counters.hh"
 
 namespace cherivoke {
 namespace alloc {
@@ -165,8 +164,8 @@ class DlAllocator
     uint64_t heapBase() const { return heap_base_; }
     uint64_t heapEnd() const { return heap_end_; }
 
-    stats::CounterGroup &counters() { return counters_; }
-    const stats::CounterGroup &counters() const { return counters_; }
+    AllocCounters &counters() { return counters_; }
+    const AllocCounters &counters() const { return counters_; }
     /// @}
 
   private:
@@ -182,11 +181,11 @@ class DlAllocator
 
     ChunkView view(uint64_t addr) const
     {
-        return ChunkView(*mem_, addr, &chunk_counters_);
+        return ChunkView(*mem_, addr, &counters_);
     }
 
     /** Uncounted view for inspection paths (walkHeap/validateHeap):
-     *  keeps the alloc.header_* counters a pure mutator-path
+     *  keeps the header*Accesses counters a pure mutator-path
      *  metric, unskewed by how often validation runs. */
     ChunkView viewUncounted(uint64_t addr) const
     {
@@ -265,23 +264,9 @@ class DlAllocator
 
     uint64_t live_bytes_ = 0;
     uint64_t quarantined_bytes_ = 0;
-    stats::CounterGroup counters_;
-
-    /** @name Cached counter references (no string lookup per op) */
-    /// @{
-    mutable ChunkAccessCounters chunk_counters_;
-    stats::Counter *c_bin_scan_steps_ = nullptr;
-    stats::Counter *c_bin_searches_ = nullptr;
-    stats::LazyCounter c_extends_{"alloc.extends"};
-    stats::LazyCounter c_splits_{"alloc.splits"};
-    stats::LazyCounter c_malloc_calls_{"alloc.malloc_calls"};
-    stats::LazyCounter c_allocated_bytes_{"alloc.allocated_bytes"};
-    stats::LazyCounter c_free_calls_{"alloc.free_calls"};
-    stats::LazyCounter c_quarantine_frees_{"alloc.quarantine_frees"};
-    stats::LazyCounter c_internal_frees_{"alloc.internal_frees"};
-    stats::LazyCounter c_cold_pages_released_{
-        "alloc.cold_pages_released"};
-    /// @}
+    /** mutable: const paths read chunk headers through counted
+     *  views. */
+    mutable AllocCounters counters_;
 };
 
 } // namespace alloc

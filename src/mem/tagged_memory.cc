@@ -170,7 +170,7 @@ TaggedMemory::clearTagsInRange(uint64_t addr, uint64_t size)
                                   kGranuleShift);
         if (page->granuleTag(idx)) {
             page->clearGranuleTag(idx);
-            c_tags_cleared_.in(counters_).increment();
+            ++counters_.tagsClearedByOverwrite;
         }
     }
 }
@@ -182,7 +182,6 @@ TaggedMemory::writeBytes(uint64_t addr, const void *src, uint64_t size)
         return;
     checkMapped(addr, size, true);
     clearTagsInRange(addr, size);
-    c_data_write_bytes_.in(counters_).increment(size);
     const uint8_t *p = static_cast<const uint8_t *>(src);
     uint64_t remaining = size;
     uint64_t cur = addr;
@@ -203,7 +202,6 @@ TaggedMemory::readBytes(uint64_t addr, void *dst, uint64_t size) const
     if (size == 0)
         return;
     checkMapped(addr, size, false);
-    c_data_read_bytes_.in(counters_).increment(size);
     uint8_t *p = static_cast<uint8_t *>(dst);
     uint64_t remaining = size;
     uint64_t cur = addr;
@@ -264,7 +262,6 @@ TaggedMemory::fill(uint64_t addr, uint8_t byte, uint64_t size)
         return;
     checkMapped(addr, size, true);
     clearTagsInRange(addr, size);
-    c_data_write_bytes_.in(counters_).increment(size);
     uint64_t remaining = size;
     uint64_t cur = addr;
     while (remaining > 0) {
@@ -304,10 +301,10 @@ TaggedMemory::writeCap(uint64_t addr, const cap::Capability &capability)
     const unsigned g = static_cast<unsigned>(off >> kGranuleShift);
     if (capability.tag()) {
         page.setGranuleTag(g);
-        c_cap_writes_.in(counters_).increment();
+        ++counters_.capWrites;
         if (!pte->capDirty) {
             pte->capDirty = true;
-            c_capdirty_traps_.in(counters_).increment();
+            ++counters_.capDirtyTraps;
         }
         for (const CapStoreListener &l : cap_store_listeners_) {
             if (addr >= l.lo && addr < l.hi)
@@ -315,7 +312,6 @@ TaggedMemory::writeCap(uint64_t addr, const cap::Capability &capability)
         }
     } else {
         page.clearGranuleTag(g);
-        c_untagged_cap_writes_.in(counters_).increment();
     }
 }
 
@@ -327,7 +323,6 @@ TaggedMemory::readCap(uint64_t addr) const
                        "capability load must be 16-byte aligned");
     }
     checkMapped(addr, kCapBytes, false);
-    c_cap_reads_.in(counters_).increment();
     const Page *page = pageIfPresent(addr);
     if (!page)
         return cap::Capability{};
@@ -346,7 +341,7 @@ TaggedMemory::readCap(uint64_t addr) const
         load_barrier_(cap::Capability::decodeBase(lo, hi))) {
         tag = false;
         const_cast<TaggedMemory *>(this)->clearTagAt(addr);
-        c_barrier_strips_.in(counters_).increment();
+        ++counters_.loadBarrierStrips;
     }
     return cap::Capability::unpack(lo, hi, tag);
 }

@@ -28,13 +28,30 @@
 
 #include "cap/capability.hh"
 #include "mem/page_table.hh"
-#include "stats/counters.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
 
 namespace cherivoke {
 namespace mem {
+
+/**
+ * Tagged-memory event counts, bumped in place by the memory that
+ * owns them (plain fields: same single-writer contract as the rest
+ * of TaggedMemory's state).
+ */
+struct MemCounters
+{
+    /** Data writes that cleared a granule's capability tag. */
+    uint64_t tagsClearedByOverwrite = 0;
+    /** Tagged capability stores. */
+    uint64_t capWrites = 0;
+    /** First tagged store to a clean page: the CapDirty trap
+     *  (§3.4.2). */
+    uint64_t capDirtyTraps = 0;
+    /** Revoked capabilities stripped by the load barrier (§3.5). */
+    uint64_t loadBarrierStrips = 0;
+};
 
 /** Backing store for one simulated page: data plus granule tags. */
 struct Page
@@ -472,8 +489,7 @@ class TaggedMemory
     }
     /// @}
 
-    stats::CounterGroup &counters() { return counters_; }
-    const stats::CounterGroup &counters() const { return counters_; }
+    const MemCounters &counters() const { return counters_; }
 
   private:
     Page &pageForWrite(uint64_t addr);
@@ -498,21 +514,8 @@ class TaggedMemory
     std::vector<CapStoreListener> cap_store_listeners_;
     uint64_t next_listener_id_ = 1;
     size_t soft_budget_ = 0; //!< resident-page soft cap; 0 = none
-    /** mutable: read paths account traffic too. */
-    mutable stats::CounterGroup counters_;
-    /** Per-op counter handles, resolved on first use. */
-    mutable stats::LazyCounter c_tags_cleared_{
-        "mem.tags_cleared_by_overwrite"};
-    mutable stats::LazyCounter c_data_write_bytes_{
-        "mem.data_write_bytes"};
-    mutable stats::LazyCounter c_data_read_bytes_{"mem.data_read_bytes"};
-    mutable stats::LazyCounter c_cap_writes_{"mem.cap_writes"};
-    mutable stats::LazyCounter c_capdirty_traps_{"mem.capdirty_traps"};
-    mutable stats::LazyCounter c_untagged_cap_writes_{
-        "mem.untagged_cap_writes"};
-    mutable stats::LazyCounter c_cap_reads_{"mem.cap_reads"};
-    mutable stats::LazyCounter c_barrier_strips_{
-        "mem.load_barrier_strips"};
+    /** mutable: readCap strips tags through the load barrier. */
+    mutable MemCounters counters_;
     std::function<bool(uint64_t)> load_barrier_;
 };
 

@@ -1,7 +1,6 @@
 #include "stats/summary.hh"
 
 #include <cmath>
-#include <cstdio>
 
 #include "support/logging.hh"
 
@@ -56,74 +55,6 @@ double
 Summary::stddev() const
 {
     return std::sqrt(variance());
-}
-
-double
-MutatorPathSummary::meanBinScanLength() const
-{
-    return binSearches == 0 ? 0.0
-                            : static_cast<double>(binScanSteps) /
-                                  static_cast<double>(binSearches);
-}
-
-double
-MutatorPathSummary::rawSpanRate() const
-{
-    const uint64_t total = rawHeaderAccesses + slowHeaderAccesses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(rawHeaderAccesses) /
-                            static_cast<double>(total);
-}
-
-double
-MutatorPathSummary::mergeRatio() const
-{
-    return quarantineFrees == 0
-               ? 0.0
-               : static_cast<double>(quarantineMerges) /
-                     static_cast<double>(quarantineFrees);
-}
-
-std::string
-MutatorPathSummary::render() const
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "mutator path: %llu mallocs, %llu quarantine frees\n"
-        "  bin scan length   : %.3f nodes/search "
-        "(%llu steps / %llu searches)\n"
-        "  raw-span accesses : %.2f%% (%llu raw, %llu slow)\n"
-        "  quarantine merges : %.3f per free (%llu merges)\n",
-        static_cast<unsigned long long>(mallocCalls),
-        static_cast<unsigned long long>(quarantineFrees),
-        meanBinScanLength(),
-        static_cast<unsigned long long>(binScanSteps),
-        static_cast<unsigned long long>(binSearches),
-        rawSpanRate() * 100.0,
-        static_cast<unsigned long long>(rawHeaderAccesses),
-        static_cast<unsigned long long>(slowHeaderAccesses),
-        mergeRatio(),
-        static_cast<unsigned long long>(quarantineMerges));
-    return buf;
-}
-
-MutatorPathSummary
-summarizeMutatorPath(const CounterGroup &alloc_counters)
-{
-    MutatorPathSummary s;
-    s.mallocCalls = alloc_counters.value("alloc.malloc_calls");
-    s.quarantineFrees =
-        alloc_counters.value("alloc.quarantine_frees");
-    s.binSearches = alloc_counters.value("alloc.bin_searches");
-    s.binScanSteps = alloc_counters.value("alloc.bin_scan_steps");
-    s.rawHeaderAccesses =
-        alloc_counters.value("alloc.header_raw_accesses");
-    s.slowHeaderAccesses =
-        alloc_counters.value("alloc.header_slow_accesses");
-    s.quarantineMerges =
-        alloc_counters.value("alloc.quarantine_merges");
-    return s;
 }
 
 double

@@ -10,10 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "stats/counters.hh"
 
 namespace cherivoke {
 namespace stats {
@@ -41,41 +38,6 @@ class Summary
     double max_ = 0;
     double total_ = 0;
 };
-
-/**
- * Derived view of the allocator's mutator-path counters: how hard
- * the malloc/free fast path actually worked. Raw counts come from
- * the DlAllocator CounterGroup (alloc.* counters); the ratios are
- * the quantities worth watching — mean bin-scan length should sit
- * near 1 with the occupancy bitmap, the raw-span rate near 1 with
- * the cached chunk spans, and the merge ratio is the §5.2
- * aggregation quality (internal frees per program free shrink as it
- * rises).
- */
-struct MutatorPathSummary
-{
-    uint64_t mallocCalls = 0;
-    uint64_t quarantineFrees = 0;
-    uint64_t binSearches = 0;       //!< takeFromBins invocations
-    uint64_t binScanSteps = 0;      //!< free-list nodes examined
-    uint64_t rawHeaderAccesses = 0; //!< chunk fields via host span
-    uint64_t slowHeaderAccesses = 0; //!< out-of-span fallbacks
-    uint64_t quarantineMerges = 0;
-
-    /** Free-list nodes examined per takeFromBins call. */
-    double meanBinScanLength() const;
-    /** Fraction of chunk-metadata accesses served by the raw span. */
-    double rawSpanRate() const;
-    /** Runs merged per quarantined free (0..2). */
-    double mergeRatio() const;
-
-    /** Human-readable block for bench reports. */
-    std::string render() const;
-};
-
-/** Build the summary from a DlAllocator counter group. */
-MutatorPathSummary
-summarizeMutatorPath(const CounterGroup &alloc_counters);
 
 /** Geometric mean of a vector of positive values. */
 double geomean(const std::vector<double> &values);

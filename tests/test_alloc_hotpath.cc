@@ -6,7 +6,8 @@
  * bitmap, the hash-linked quarantine run structure, and a randomized
  * malloc/free/realloc fuzz loop cross-checked against validateHeap()
  * — which itself asserts bin-bitmap/bin-list consistency and the
- * raw-span write semantics on every free chunk.
+ * raw-span write semantics on every free chunk — and the exact
+ * values of the memory and allocator counters for a fixed sequence.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "alloc/cherivoke_alloc.hh"
-#include "stats/summary.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 
@@ -222,8 +222,7 @@ TEST(QuarantineRuns, SurvivesManyEpochsOfChurn)
     EXPECT_GT(frees, 1000u);
     heap.dl().validateHeap();
     // Merge accounting survives the facade's quarantine swaps.
-    const uint64_t merges =
-        heap.dl().counters().value("alloc.quarantine_merges");
+    const uint64_t merges = heap.dl().counters().quarantineMerges;
     EXPECT_GT(merges, 0u);
     EXPECT_LE(merges, frees);
 }
@@ -270,13 +269,83 @@ TEST(AllocFuzz, RandomOpsKeepEveryInvariant)
     }
     heap.dl().validateHeap();
 
-    // The mutator-path summary reflects a healthy fast path.
-    const stats::MutatorPathSummary s =
-        stats::summarizeMutatorPath(heap.dl().counters());
+    // The mutator-path counters reflect a healthy fast path.
+    const AllocCounters &s = heap.dl().counters();
     EXPECT_GT(s.mallocCalls, 0u);
     EXPECT_GT(s.rawSpanRate(), 0.9)
         << "nearly all header accesses should hit the cached span";
     EXPECT_GE(s.meanBinScanLength(), 0.0);
+}
+
+// ---- Exact counter values --------------------------------------
+
+/**
+ * A short fixed sequence that moves all twelve memory and allocator
+ * counters; every value is pinned, so a counter that stops counting,
+ * double counts or moves to another site fails here.
+ */
+TEST(CounterValues, FixedSequenceIsExact)
+{
+    mem::AddressSpace space;
+    auto &memory = space.memory();
+    CherivokeConfig cfg;
+    cfg.dl.initialHeapBytes = 16 * KiB;
+    cfg.dl.growthChunkBytes = 16 * KiB;
+    CherivokeAllocator heap(space, cfg);
+
+    // Three adjacent small chunks, then one that outgrows the
+    // initial heap (one extend), then a guard so the large chunk
+    // never coalesces into the wilderness.
+    const Capability a = heap.malloc(64);
+    const Capability b = heap.malloc(64);
+    const Capability c = heap.malloc(64);
+    const Capability big = heap.malloc(20 * KiB);
+    const Capability guard = heap.malloc(64);
+    ASSERT_TRUE(big.tag());
+
+    // Two tagged stores (the first traps CapDirty on its page), an
+    // untagged one (counted by nothing), and a data write over the
+    // second tagged granule (clears its tag).
+    memory.writeCap(a.base(), b);
+    memory.writeCap(a.base() + 16, c);
+    memory.writeCap(a.base() + 32, c.withTagCleared());
+    memory.writeU64(a.base() + 24, 7);
+
+    // Three neighbouring quarantine frees merge into one run.
+    heap.free(b);
+    heap.free(c);
+    heap.free(big);
+    heap.prepareSweep();
+    memory.installLoadBarrier([&](uint64_t base) {
+        return heap.shadowMap().isRevoked(base);
+    });
+    EXPECT_FALSE(memory.readCap(a.base()).tag());
+    memory.removeLoadBarrier();
+    // The run goes back to a large bin; its footer lands on the
+    // guard's page (out-of-span accesses).
+    heap.finishSweep();
+
+    // A small request takes the run from its bin and splits it.
+    const Capability d = heap.malloc(32);
+    ASSERT_TRUE(d.tag());
+    ASSERT_TRUE(guard.tag());
+    heap.dl().validateHeap();
+
+    const mem::MemCounters &m = memory.counters();
+    EXPECT_EQ(m.capWrites, 2u);
+    EXPECT_EQ(m.capDirtyTraps, 1u);
+    EXPECT_EQ(m.tagsClearedByOverwrite, 1u);
+    EXPECT_EQ(m.loadBarrierStrips, 1u);
+
+    const AllocCounters &al = heap.dl().counters();
+    EXPECT_EQ(al.mallocCalls, 6u);
+    EXPECT_EQ(al.extends, 1u);
+    EXPECT_EQ(al.quarantineFrees, 3u);
+    EXPECT_EQ(al.quarantineMerges, 2u);
+    EXPECT_EQ(al.binSearches, 6u);
+    EXPECT_EQ(al.binScanSteps, 1u);
+    EXPECT_EQ(al.headerRawAccesses, 96u);
+    EXPECT_EQ(al.headerSlowAccesses, 2u);
 }
 
 // ---- BoundaryIndex unit ----------------------------------------

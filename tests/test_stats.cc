@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for counters, running summaries, table rendering and
- * the bench-artifact JSON writer.
+ * Unit tests for running summaries, table rendering and the
+ * bench-artifact JSON writer.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <limits>
 #include <sstream>
 
-#include "stats/counters.hh"
 #include "stats/json.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
@@ -24,57 +23,6 @@
 namespace cherivoke {
 namespace stats {
 namespace {
-
-TEST(Counter, StartsAtZeroAndIncrements)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.increment();
-    c.increment(10);
-    ++c;
-    EXPECT_EQ(c.value(), 12u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(CounterGroup, LazyCreationAndLookup)
-{
-    CounterGroup g;
-    EXPECT_FALSE(g.has("a.b"));
-    EXPECT_EQ(g.value("a.b"), 0u);
-    g.counter("a.b").increment(3);
-    EXPECT_TRUE(g.has("a.b"));
-    EXPECT_EQ(g.value("a.b"), 3u);
-}
-
-TEST(CounterGroup, InsertionOrderPreserved)
-{
-    CounterGroup g;
-    g.counter("z");
-    g.counter("a");
-    g.counter("m");
-    ASSERT_EQ(g.names().size(), 3u);
-    EXPECT_EQ(g.names()[0], "z");
-    EXPECT_EQ(g.names()[1], "a");
-    EXPECT_EQ(g.names()[2], "m");
-}
-
-TEST(CounterGroup, ResetAllKeepsRegistration)
-{
-    CounterGroup g;
-    g.counter("x").increment(5);
-    g.resetAll();
-    EXPECT_TRUE(g.has("x"));
-    EXPECT_EQ(g.value("x"), 0u);
-}
-
-TEST(CounterGroup, ReportContainsEachCounter)
-{
-    CounterGroup g;
-    g.counter("dram.reads").increment(7);
-    const std::string rep = g.report();
-    EXPECT_NE(rep.find("dram.reads 7"), std::string::npos);
-}
 
 TEST(Summary, EmptyIsZero)
 {
